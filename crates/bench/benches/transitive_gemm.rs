@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use ta_bench::perf::{PerfRecord, PerfReport};
 use ta_bench::{experiments_dir, Scale};
-use ta_core::{runtime, TransArrayConfig, TransitiveArray};
+use ta_core::{runtime, GemmRequest, Session, TransArrayConfig};
 use ta_quant::{gemm_i32, MatI32};
 use ta_workloads::l7b;
 
@@ -21,8 +21,8 @@ fn mats() -> (MatI32, MatI32) {
     (w, x)
 }
 
-fn small_ta(threads: usize) -> TransitiveArray {
-    TransitiveArray::new(TransArrayConfig {
+fn small_session(threads: usize) -> Session {
+    Session::new(TransArrayConfig {
         width: 4,
         max_transrows: 16,
         weight_bits: 4,
@@ -32,6 +32,7 @@ fn small_ta(threads: usize) -> TransitiveArray {
         threads,
         ..TransArrayConfig::paper_w8()
     })
+    .expect("valid bench config")
 }
 
 fn bench_engines(c: &mut Criterion) {
@@ -40,14 +41,14 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| gemm_i32(black_box(&w), black_box(&x)))
     });
     let w4 = MatI32::from_fn(64, 64, |r, c| (((r * 64 + c) as i64 * 40503 % 15) - 7) as i32);
-    let serial = small_ta(1);
-    c.bench_function("transitive_gemm_64x64x32_w4_serial", |b| {
-        b.iter(|| serial.execute_gemm(black_box(&w4), black_box(&x)))
-    });
-    let parallel = small_ta(0);
-    c.bench_function("transitive_gemm_64x64x32_w4_parallel", |b| {
-        b.iter(|| parallel.execute_gemm(black_box(&w4), black_box(&x)))
-    });
+    let execute = |session: &Session| {
+        let request = GemmRequest::execute(black_box(w4.clone()), black_box(x.clone()));
+        session.run(request).expect("valid operands")
+    };
+    let serial = small_session(1);
+    c.bench_function("transitive_gemm_64x64x32_w4_serial", |b| b.iter(|| execute(&serial)));
+    let parallel = small_session(0);
+    c.bench_function("transitive_gemm_64x64x32_w4_parallel", |b| b.iter(|| execute(&parallel)));
 }
 
 /// Serial vs parallel vs plan-cached layer simulation of the full-scale
@@ -55,42 +56,41 @@ fn bench_engines(c: &mut Criterion) {
 fn bench_l7b_layer(c: &mut Criterion) {
     let scale = Scale::quick();
     let shape = l7b::qproj_shape();
-    let make_ta = |threads: usize, plan_cache: usize| {
-        TransitiveArray::new(TransArrayConfig {
+    let make_session = |threads: usize, plan_cache: usize| {
+        Session::new(TransArrayConfig {
             sample_limit: scale.sample_limit,
             threads,
             plan_cache,
             ..TransArrayConfig::paper_w8()
         })
+        .expect("valid bench config")
     };
-    let run_on = |ta: &TransitiveArray| {
-        let n_tile = ta.config().n_tile();
+    let run_on = |session: &Session| {
         let start = Instant::now();
-        let mut src = l7b::pattern_source_seeded(n_tile, 1234);
-        let rep = ta.simulate_layer(shape, &mut src);
+        let src = l7b::pattern_source_seeded(session.config().n_tile(), 1234);
+        let rep = session.run(GemmRequest::simulate(shape, src)).expect("valid layer").report;
         (rep, start.elapsed().as_secs_f64())
     };
-    let run = |threads: usize| run_on(&make_ta(threads, 0));
+    let run = |threads: usize| run_on(&make_session(threads, 0));
     let (serial_rep, serial_wall) = run(1);
     let (parallel_rep, parallel_wall) = run(0);
     assert_eq!(serial_rep, parallel_rep, "parallel layer simulation must be bit-exact");
     // The cached accelerator outlives its timing loop so the warm-cache
     // replay cost is what criterion sees; the one-shot wall below is the
     // warm second run.
-    let cached_ta = make_ta(1, ta_bench::perf::DEFAULT_PLAN_CACHE_ENTRIES);
-    let (cached_cold, _, _) = ta_bench::perf::cached_replay(&cached_ta, shape, 1234);
+    let cached = make_session(1, ta_bench::perf::DEFAULT_PLAN_CACHE_ENTRIES);
+    let (cached_cold, _, _) = ta_bench::perf::cached_replay(&cached, shape, 1234);
     assert_eq!(serial_rep, cached_cold, "plan-cached simulation must be bit-exact");
     // Second call = warm replay: its hit rate is 1.0 when healthy (the
     // cold call's compulsory misses are excluded by the counter deltas).
-    let (cached_rep, cached_wall, hit_rate) =
-        ta_bench::perf::cached_replay(&cached_ta, shape, 1234);
+    let (cached_rep, cached_wall, hit_rate) = ta_bench::perf::cached_replay(&cached, shape, 1234);
     assert_eq!(serial_rep, cached_rep, "warm plan-cached simulation must be bit-exact");
 
     let mut g = c.benchmark_group("l7b_qproj_quick");
     g.sample_size(10);
     g.bench_function("serial", |b| b.iter(|| run(1)));
     g.bench_function("parallel", |b| b.iter(|| run(0)));
-    g.bench_function("plan_cached", |b| b.iter(|| run_on(&cached_ta)));
+    g.bench_function("plan_cached", |b| b.iter(|| run_on(&cached)));
     g.finish();
 
     let record = |name: &str, wall: f64| PerfRecord {

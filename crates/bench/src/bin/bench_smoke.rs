@@ -24,9 +24,6 @@
 //! * plan cache: `TA_PLAN_CACHE` overrides the cached workload's
 //!   capacity (default 4096 entries; `0` is rejected — the suite gates
 //!   the cache, so it cannot run without one);
-//! * plan-cache shards: `TA_PLAN_CACHE_SHARDS` overrides the shard
-//!   count used by the cached workload and the `plan_cache_contention`
-//!   sweep (default `0` = auto: ~4× cores, power of two);
 //! * `TA_BENCH_INJECT_SLOWDOWN=<factor>` multiplies the measured wall
 //!   times — a self-test hook that lets CI (or a reviewer) confirm the
 //!   gate actually trips; never set it in a real run.
@@ -183,26 +180,19 @@ fn main() {
         Ok(None) => perf::DEFAULT_PLAN_CACHE_ENTRIES,
         Err(e) => fail(&e),
     };
-    let plan_cache_shards = match runtime::plan_cache_shards_from_env() {
-        Ok(Some(n)) => n,
-        Ok(None) => 0,
-        Err(e) => fail(&e),
-    };
 
     println!(
-        "bench_smoke: scale={} threads={} cores={} plan_cache={} plan_cache_shards={}",
+        "bench_smoke: scale={} threads={} cores={} plan_cache={}",
         args.scale.name(),
         threads,
         runtime::available_cores(),
-        plan_cache,
-        plan_cache_shards
+        plan_cache
     );
     let only = if args.only.is_empty() { None } else { Some(args.only.as_slice()) };
     if let Some(filter) = only {
         println!("  running only: {}", filter.join(", "));
     }
-    let mut report =
-        perf::run_suite_filtered(args.scale, threads, plan_cache, plan_cache_shards, only);
+    let mut report = perf::run_suite_filtered(args.scale, threads, plan_cache, only);
     report.sha = resolve_sha();
 
     // Gate self-test hook: scale the measured wall times so a reviewer

@@ -2,10 +2,11 @@
 //! family, across the full accelerator roster: BitFusion*, ANT, Olive,
 //! Tender*, BitVert, TA-8bit, TA-4bit (* = reference only, broken PPL).
 
+use super::{session, simulate_layer_on};
 use crate::report::{fmt3, geomean, Table};
 use crate::scale::Scale;
 use ta_baselines::Baseline;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmShape, TransArrayConfig};
 use ta_models::{LlamaConfig, PAPER_SEQ_LEN};
 use ta_sim::EnergyModel;
 use ta_workloads::sources::fig10_fc_source;
@@ -60,15 +61,14 @@ pub fn simulate(scale: Scale) -> Vec<FcResult> {
             ("TA-8bit", TransArrayConfig::paper_w8(), 8u32),
             ("TA-4bit", TransArrayConfig::paper_w4(), 4u32),
         ] {
-            let ta =
-                TransitiveArray::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
-            let n_tile = ta.config().n_tile();
+            let s = session(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
+            let n_tile = s.config().n_tile();
             let mut cycles = 0u64;
             let mut energy = 0.0f64;
             for (i, l) in layers.iter().enumerate() {
-                let mut src = fig10_fc_source(wbits, n_tile, i);
+                let src = fig10_fc_source(wbits, n_tile, i);
                 let rep =
-                    ta.simulate_layer(GemmShape::new(l.shape.n, l.shape.k, l.shape.m), &mut src);
+                    simulate_layer_on(&s, GemmShape::new(l.shape.n, l.shape.k, l.shape.m), src);
                 cycles += rep.cycles;
                 energy += rep.energy_nj();
             }

@@ -1,24 +1,23 @@
 //! Fig. 11 — TransArray energy breakdown on the first FC layer of
 //! LLaMA-1-7B (q_proj, 4096×4096×2048).
 
+use super::{session, simulate_layer_on};
 use crate::report::{fmt3, Table};
 use crate::scale::Scale;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmShape, TransArrayConfig};
 use ta_models::{LlamaConfig, PAPER_SEQ_LEN};
 use ta_sim::EnergyBreakdown;
 use ta_workloads::sources::fig11_source;
 
 /// Simulates the first FC layer and returns the breakdown.
 pub fn breakdown(scale: Scale) -> EnergyBreakdown {
-    let ta = TransitiveArray::new(TransArrayConfig {
+    let s = session(TransArrayConfig {
         sample_limit: scale.sample_limit,
         ..TransArrayConfig::paper_w8()
     });
     let layer = LlamaConfig::l1_7b().fc_layers(PAPER_SEQ_LEN)[0];
-    let mut src = fig11_source(ta.config().n_tile());
-    let rep =
-        ta.simulate_layer(GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m), &mut src);
-    rep.energy
+    let src = fig11_source(s.config().n_tile());
+    simulate_layer_on(&s, GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m), src).energy
 }
 
 /// Renders the breakdown as Fig. 11's slices (percent of total).

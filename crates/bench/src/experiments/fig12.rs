@@ -8,10 +8,11 @@
 //! caches are treated as weight tensors; the TransArray's dynamic
 //! Scoreboard builds their SI at runtime.
 
+use super::{session, simulate_layer_on};
 use crate::report::{fmt3, geomean, Table};
 use crate::scale::Scale;
 use ta_baselines::Baseline;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmShape, TransArrayConfig};
 use ta_models::{LlamaConfig, PAPER_SEQ_LEN};
 use ta_sim::{EnergyModel, VpuModel};
 use ta_workloads::sources::fig12_attention_source;
@@ -66,15 +67,15 @@ pub fn simulate(scale: Scale) -> Vec<AttnResult> {
 
         // TransArray at 8-bit with the dynamic Scoreboard (the K/V caches
         // are dynamic activations — no offline pass is possible).
-        let ta = TransitiveArray::new(TransArrayConfig {
+        let s = session(TransArrayConfig {
             sample_limit: scale.sample_limit,
             ..TransArrayConfig::paper_w8()
         });
-        let n_tile = ta.config().n_tile();
+        let n_tile = s.config().n_tile();
         let mut c = heads * softmax_per_head_8;
         for (i, (g, count)) in gemms.iter().enumerate() {
-            let mut src = fig12_attention_source(n_tile, i);
-            let rep = ta.simulate_layer(GemmShape::new(g.shape.n, g.shape.k, g.shape.m), &mut src);
+            let src = fig12_attention_source(n_tile, i);
+            let rep = simulate_layer_on(&s, GemmShape::new(g.shape.n, g.shape.k, g.shape.m), src);
             c += rep.cycles * *count as u64;
         }
         out.push(AttnResult {

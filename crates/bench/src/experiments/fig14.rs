@@ -2,10 +2,11 @@
 //! BitFusion, ANT, TransArray. TransArray runs 4-bit weights except the
 //! first conv and the FC (8-bit), per §5.10.
 
+use super::{session, simulate_layer_on};
 use crate::report::{fmt3, Table};
 use crate::scale::Scale;
 use ta_baselines::Baseline;
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmShape, TransArrayConfig};
 use ta_models::resnet18_layers;
 use ta_sim::EnergyModel;
 use ta_workloads::sources::fig14_layer_source;
@@ -43,10 +44,10 @@ pub fn simulate(scale: Scale) -> Vec<LayerCycles> {
         } else {
             TransArrayConfig::paper_w8()
         };
-        let ta = TransitiveArray::new(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
-        let mut src = fig14_layer_source(layer.weight_bits, ta.config().n_tile(), layer.index);
+        let s = session(TransArrayConfig { sample_limit: scale.sample_limit, ..cfg });
+        let src = fig14_layer_source(layer.weight_bits, s.config().n_tile(), layer.index);
         let ta_cycles =
-            ta.simulate_layer(GemmShape::new(shape.n, shape.k, shape.m), &mut src).cycles;
+            simulate_layer_on(&s, GemmShape::new(shape.n, shape.k, shape.m), src).cycles;
         out.push(LayerCycles {
             index: layer.index,
             name: layer.name.to_string(),

@@ -10,7 +10,8 @@ use std::hint::black_box;
 use std::time::Instant;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, TileView};
 use ta_core::{
-    runtime, GemmReport, GemmShape, PatternSource, SlicedSource, TransArrayConfig, TransitiveArray,
+    runtime, GemmReport, GemmRequest, GemmShape, PatternSource, Session, SlicedSource,
+    TransArrayConfig,
 };
 use ta_hasse::{ExecScratch, ExecutionPlan, NullSink, Scoreboard, StaticSi};
 use ta_quant::gemm_i32;
@@ -57,7 +58,7 @@ fn measure<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (out, best)
 }
 
-/// One simulation of `shape` on `ta` (plan cache required), returning
+/// One simulation of `shape` on `session` (plan cache required), returning
 /// the report, the run's wall seconds, and the run's cache hit rate
 /// from counter deltas — the single definition of the warm-replay
 /// protocol shared by [`run_suite`] and the criterion benches. Call it
@@ -66,16 +67,21 @@ fn measure<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 ///
 /// # Panics
 ///
-/// Panics if `ta` has no plan cache.
-pub fn cached_replay(ta: &TransitiveArray, shape: GemmShape, seed: u64) -> (GemmReport, f64, f64) {
-    let before = ta.plan_cache_stats().expect("cached_replay requires an enabled plan cache");
-    let n_tile = ta.config().n_tile();
+/// Panics if `session` has no plan cache.
+pub fn cached_replay(session: &Session, shape: GemmShape, seed: u64) -> (GemmReport, f64, f64) {
+    let stats =
+        || session.accelerator().plan_cache_stats().expect("cached_replay requires a plan cache");
+    let before = stats();
     let start = Instant::now();
-    let mut src = l7b::pattern_source_seeded(n_tile, seed);
-    let rep = ta.simulate_layer(shape, &mut src);
+    let rep = simulate_l7b(session, shape, seed);
     let wall = start.elapsed().as_secs_f64();
-    let after = ta.plan_cache_stats().expect("cached_replay requires an enabled plan cache");
-    (rep, wall, after.delta(&before).hit_rate())
+    (rep, wall, stats().delta(&before).hit_rate())
+}
+
+/// Simulates `shape` on `session` over the seeded LLaMA-7B pattern stream.
+fn simulate_l7b(session: &Session, shape: GemmShape, seed: u64) -> GemmReport {
+    let source = l7b::pattern_source_seeded(session.config().n_tile(), seed);
+    session.run(GemmRequest::simulate(shape, source)).expect("the l7b layer is valid").report
 }
 
 /// Times the dense integer reference GEMM the suite normalizes against.
@@ -92,7 +98,7 @@ fn calibration_loop() -> f64 {
 /// multi-core host the sharded cache's throughput scales with threads;
 /// the old global-mutex design flatlined here.
 ///
-/// `shards` is the `plan_cache_shards` knob (`0` = auto); cache sizing
+/// `shards` is the swept cache's shard count (`0` = auto); cache sizing
 /// and the residency contract live in [`contention::prewarmed_cache`].
 ///
 /// # Panics
@@ -404,20 +410,14 @@ fn kernel_micro(scale: Scale, want: &dyn Fn(&str) -> bool) -> Vec<PerfRecord> {
 
 /// Runs the full bench-smoke workload roster at `scale` — see
 /// [`run_suite_filtered`] for the parameters and panics.
-pub fn run_suite(
-    scale: Scale,
-    threads: usize,
-    plan_cache: usize,
-    plan_cache_shards: usize,
-) -> PerfReport {
-    run_suite_filtered(scale, threads, plan_cache, plan_cache_shards, None)
+pub fn run_suite(scale: Scale, threads: usize, plan_cache: usize) -> PerfReport {
+    run_suite_filtered(scale, threads, plan_cache, None)
 }
 
 /// Runs the bench-smoke workload roster at `scale` with `threads`
 /// parallel workers (`0` = one per core), a plan cache of `plan_cache`
-/// entries for the cached LLaMA-7B workload, and `plan_cache_shards`
-/// shards (`0` = auto) for the cache and the contention sweep, and
-/// returns the report (`sha` is left empty for the caller to fill in).
+/// entries for the cached LLaMA-7B workload, and returns the report
+/// (`sha` is left empty for the caller to fill in).
 ///
 /// `only` restricts the roster to the named workloads (`bench_smoke
 /// --only`); `None` runs everything. The serial LLaMA-7B run is the
@@ -439,7 +439,6 @@ pub fn run_suite_filtered(
     scale: Scale,
     threads: usize,
     plan_cache: usize,
-    plan_cache_shards: usize,
     only: Option<&[String]>,
 ) -> PerfReport {
     assert!(plan_cache > 0, "run_suite requires a non-zero plan-cache capacity");
@@ -474,9 +473,8 @@ pub fn run_suite_filtered(
     // except the threads knob); the pair must agree bit-exactly.
     let shape = l7b::qproj_shape();
     let run_layer = |threads: usize| {
-        let ta = TransitiveArray::new(l7b::layer_config(scale, threads));
-        let n_tile = ta.config().n_tile();
-        measure(move || ta.simulate_layer(shape, &mut l7b::pattern_source(n_tile)))
+        let session = Session::new(l7b::layer_config(scale, threads)).expect("valid l7b config");
+        measure(move || simulate_l7b(&session, shape, l7b::PATTERN_SEED))
     };
     let family = ["l7b_qproj_serial", "l7b_qproj_parallel", "l7b_qproj_cached"];
     let serial: Option<(GemmReport, f64)> =
@@ -519,14 +517,9 @@ pub fn run_suite_filtered(
         // cache exists for. The best sample is therefore a warm-cache
         // time; the uncached serial wall is the denominator of
         // `speedup_cached`.
-        let cached_ta = TransitiveArray::new(TransArrayConfig {
-            plan_cache,
-            plan_cache_shards,
-            ..l7b::layer_config(scale, 1)
-        });
-        let n_tile = cached_ta.config().n_tile();
-        let (cached_rep, cached_wall) =
-            measure(|| cached_ta.simulate_layer(shape, &mut l7b::pattern_source(n_tile)));
+        let cached = Session::new(TransArrayConfig { plan_cache, ..l7b::layer_config(scale, 1) })
+            .expect("valid l7b config");
+        let (cached_rep, cached_wall) = measure(|| simulate_l7b(&cached, shape, l7b::PATTERN_SEED));
         assert_eq!(
             *serial_rep, cached_rep,
             "determinism violation: plan-cached LLaMA-7B q_proj report differs from uncached"
@@ -536,7 +529,7 @@ pub fn run_suite_filtered(
         // (The timing loop's aggregate rate would depend on how many
         // iterations the pilot sized — a machine-speed artifact the gate
         // must not see.)
-        let (replay_rep, _, hit_rate) = cached_replay(&cached_ta, shape, l7b::PATTERN_SEED);
+        let (replay_rep, _, hit_rate) = cached_replay(&cached, shape, l7b::PATTERN_SEED);
         assert_eq!(*serial_rep, replay_rep, "warm plan-cached replay must stay bit-identical");
         plan_cache_hit_rate = hit_rate;
         speedup_cached = if cached_wall > 0.0 { serial_wall / cached_wall } else { 0.0 };
@@ -549,8 +542,12 @@ pub fn run_suite_filtered(
     if want("l7b_qproj_exec") {
         let (exec_w, exec_x) = l7b::exec_operands(scale);
         let exec_reference = gemm_i32(&exec_w, &exec_x);
-        let exec_ta = TransitiveArray::new(l7b::layer_config(scale, 1));
-        let ((exec_out, exec_rep), exec_wall) = measure(|| exec_ta.execute_gemm(&exec_w, &exec_x));
+        let exec = Session::new(l7b::layer_config(scale, 1)).expect("valid l7b config");
+        let (exec_resp, exec_wall) = measure(|| {
+            let request = GemmRequest::execute(exec_w.clone(), exec_x.clone());
+            exec.run(request).expect("l7b operands are valid")
+        });
+        let (exec_out, exec_rep) = (exec_resp.output.expect("execute output"), exec_resp.report);
         assert_eq!(exec_out, exec_reference, "functional execution engine must stay bit-exact");
         exec_ran = true;
         push_layer(&mut workloads, "l7b_qproj_exec", &exec_rep, exec_wall);
@@ -608,11 +605,7 @@ pub fn run_suite_filtered(
         dram_requests,
         dram_bursts,
         exec_allocs_per_subtile: if exec_ran { measure_exec_allocs() } else { -1.0 },
-        contention: if want("plan_cache_contention") {
-            contention_workload(plan_cache_shards)
-        } else {
-            Vec::new()
-        },
+        contention: if want("plan_cache_contention") { contention_workload(0) } else { Vec::new() },
         serve: serve_stats,
         overload: overload_stats,
         workloads,
@@ -624,7 +617,7 @@ pub fn run_suite_filtered(
 /// representative sub-tiles **outside** the measured region, warms every
 /// buffer with one full pass, then counts heap allocations across many
 /// replay passes of the engine's per-sub-tile work: pattern staging
-/// (`subtile_patterns_into` into a reused buffer, as `execute_gemm`'s
+/// (`subtile_patterns_into` into a reused buffer, as the execute path's
 /// worker loop does) + `evaluate_into` (dynamic) +
 /// `evaluate_tile_functional_into` (static) + the fused per-row
 /// accumulation. A healthy engine measures exactly `0.0` allocations per
@@ -677,7 +670,7 @@ fn measure_exec_allocs() -> f64 {
     let mut scratch = ExecScratch::new();
     let mut patterns: Vec<u16> = Vec::new();
 
-    // One pass = execute_gemm's per-worker steady state: re-stage each
+    // One pass = the execute path's per-worker steady state: re-stage each
     // sub-tile's patterns through the production source path, then run
     // both engines with the fused accumulation.
     let mut pass = |scratch: &mut ExecScratch, acc: &mut RowMajor<i64>, patterns: &mut Vec<u16>| {
@@ -745,7 +738,7 @@ mod tests {
     #[test]
     fn suite_runs_at_tiny_scale_and_is_deterministic() {
         let tiny = Scale { tiles: 2, sample_limit: 4, accuracy_dim: 16 };
-        let report = run_suite(tiny, 2, DEFAULT_PLAN_CACHE_ENTRIES, 0);
+        let report = run_suite(tiny, 2, DEFAULT_PLAN_CACHE_ENTRIES);
         assert_eq!(report.workloads.len(), 10);
         assert_eq!(report.schema, 7);
         assert_eq!(report.contention.len(), CONTENTION_THREADS.len());
@@ -805,7 +798,7 @@ mod tests {
     fn filtered_suite_runs_only_selected_workloads() {
         let tiny = Scale { tiles: 2, sample_limit: 4, accuracy_dim: 16 };
         let only = vec!["l7b_qproj_parallel".to_string(), "kernel_micro_popcount".to_string()];
-        let report = run_suite_filtered(tiny, 2, DEFAULT_PLAN_CACHE_ENTRIES, 0, Some(&only));
+        let report = run_suite_filtered(tiny, 2, DEFAULT_PLAN_CACHE_ENTRIES, Some(&only));
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
         // The serial reference ran (speedup + DRAM prove it) but its
         // record is not emitted — only the selected workloads are.
@@ -853,6 +846,6 @@ mod tests {
     #[should_panic(expected = "non-zero plan-cache capacity")]
     fn suite_rejects_zero_plan_cache() {
         let tiny = Scale { tiles: 2, sample_limit: 4, accuracy_dim: 16 };
-        let _ = run_suite(tiny, 1, 0, 0);
+        let _ = run_suite(tiny, 1, 0);
     }
 }

@@ -131,9 +131,6 @@ pub fn insert_bits(row: &mut [u64], cols: usize, c0: usize, width: u32, pattern:
 /// `[k0, k0+width)` — the allocation-free pattern-source primitive.
 /// Rows and columns past the matrix edge read as zero (tile padding).
 ///
-/// This is the facade home of the former free function
-/// `ta_bitslice::extract_subtile_patterns_into` (now a deprecated shim).
-///
 /// # Panics
 ///
 /// Panics if `width` is outside `1..=16`.

@@ -50,8 +50,6 @@ pub use popcount::{binomial, hamming_order, level, prefixes, suffixes};
 pub use rowmajor::{RowMajor, RowsMut, TileView};
 pub use slicer::BitSlicedMatrix;
 pub use sorter::{bitonic_depth, bitonic_sort_by_key, SortReport};
-#[allow(deprecated)]
-pub use transrow::extract_subtile_patterns_into;
 pub use transrow::{extract_subtile_transrows, extract_transrows, TransRow};
 
 #[cfg(test)]

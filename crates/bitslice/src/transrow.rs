@@ -114,29 +114,6 @@ pub fn extract_transrows(
     out
 }
 
-/// Deprecated shim for [`kernels::extract_subtile_patterns_into`] — the
-/// buffer-filling sub-tile extraction now lives on the kernel facade.
-/// Same semantics: `out` is cleared first, and rows/columns past the
-/// matrix edge read as zero.
-///
-/// # Panics
-///
-/// Panics if `width` is outside `1..=16`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ta_bitslice::kernels::extract_subtile_patterns_into` instead"
-)]
-pub fn extract_subtile_patterns_into(
-    planes: &BinaryMatrix,
-    row0: usize,
-    rows: usize,
-    k0: usize,
-    width: u32,
-    out: &mut Vec<u16>,
-) {
-    kernels::extract_subtile_patterns_into(planes, row0, rows, k0, width, out);
-}
-
 /// Convenience wrapper over [`extract_transrows`] for a [`BitSlicedMatrix`]
 /// sub-tile covering weight rows `[n0, n0+n)` (i.e. binary rows
 /// `[n0·S, (n0+n)·S)`).
@@ -212,17 +189,5 @@ mod tests {
     fn bad_width_rejected() {
         let m = BinaryMatrix::zeros(1, 4);
         let _ = extract_transrows(&m, 0, 1, 0, 17);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_kernel_facade() {
-        let m = BinaryMatrix::from_fn(5, 30, |r, c| (r * 7 + c * 3) % 4 == 0);
-        let (mut old, mut new) = (vec![0xAAAAu16; 2], Vec::new());
-        for (row0, rows, k0) in [(0usize, 4usize, 0usize), (3, 6, 24), (7, 3, 40)] {
-            extract_subtile_patterns_into(&m, row0, rows, k0, 8, &mut old);
-            kernels::extract_subtile_patterns_into(&m, row0, rows, k0, 8, &mut new);
-            assert_eq!(old, new, "({row0},{rows},{k0})");
-        }
     }
 }

@@ -7,7 +7,7 @@ use crate::error::TaError;
 use crate::runtime::Runtime;
 use crate::source::{PatternSource, SlicedSource};
 use crate::tiling::{dram_traffic, GemmShape, TrafficReport};
-use crate::unit::{process_and_evaluate_subtile_into, process_subtile_cached, SubtileReport};
+use crate::unit::{execute_subtile, process_subtile, SubtileReport};
 use std::ops::Range;
 use std::sync::Arc;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, RowsMut};
@@ -80,7 +80,9 @@ impl GemmReport {
 }
 
 /// The accelerator: configuration + energy model (+ the optional shared
-/// plan cache the `plan_cache` knob enables).
+/// plan cache the `plan_cache` knob enables). It is built and driven
+/// only through [`crate::Session`]; the handle [`crate::Session::accelerator`]
+/// returns exposes the configuration and the plan-cache counters.
 ///
 /// Clones share the plan cache — intentional: a cloned accelerator
 /// simulating the same weights reuses the memoized plans, which is the
@@ -93,9 +95,43 @@ pub struct TransitiveArray {
     plan_cache: Option<Arc<SharedPlanCache>>,
 }
 
-/// Marker error: a source refused to fork, so the sharded path must fall
-/// back to the serial loop.
-struct CannotFork;
+/// The sampled sub-tile sequence of one layer: position `pos` visits
+/// sub-tile `pos · step` of the row-major `(n_tile, k_chunk)` grid.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    k_chunks: usize,
+    step: usize,
+    sampled: usize,
+}
+
+impl Grid {
+    fn subtile(&self, pos: usize) -> (usize, usize) {
+        let idx = pos * self.step;
+        (idx / self.k_chunks, idx % self.k_chunks)
+    }
+}
+
+/// The one sharded walker: splits the sampled positions `0..sampled` into
+/// contiguous shards, forks `source` once per shard, and returns `f`'s
+/// per-shard results in shard order (the `runtime` determinism
+/// contract). Serial is the one-shard case, and so is a source that
+/// cannot [`PatternSource::fork`]: both walk every position over the
+/// caller's own source.
+fn walk<T: Send>(
+    source: &mut dyn PatternSource,
+    rt: &Runtime,
+    sampled: usize,
+    f: impl Fn(&mut dyn PatternSource, Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let shards = rt.shards_for(sampled);
+    if shards.len() > 1 {
+        if let Some(forks) = shards.iter().map(|_| source.fork()).collect::<Option<Vec<_>>>() {
+            let jobs = shards.into_iter().zip(forks).collect();
+            return rt.run_shards_with(jobs, |_, positions, mut src| f(src.as_mut(), positions));
+        }
+    }
+    vec![f(source, 0..sampled)]
+}
 
 /// Per-worker aggregate over a shard of the sub-tile grid.
 ///
@@ -163,40 +199,16 @@ impl Agg {
 }
 
 impl TransitiveArray {
-    /// Creates the accelerator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent.
-    pub fn new(cfg: TransArrayConfig) -> Self {
-        Self::with_energy_model(cfg, EnergyModel::paper_28nm())
-    }
-
-    /// Creates the accelerator with a custom energy model.
-    pub fn with_energy_model(cfg: TransArrayConfig, energy: EnergyModel) -> Self {
-        cfg.validate();
-        let plan_cache = (cfg.plan_cache > 0).then(|| {
-            Arc::new(match cfg.plan_cache_shards {
-                0 => SharedPlanCache::new(cfg.plan_cache),
-                n => SharedPlanCache::with_shards(cfg.plan_cache, n),
-            })
-        });
-        Self { cfg, energy, plan_cache }
+    /// Creates the accelerator from an already validated configuration.
+    pub(crate) fn new(cfg: TransArrayConfig) -> Self {
+        let plan_cache =
+            (cfg.plan_cache > 0).then(|| Arc::new(SharedPlanCache::new(cfg.plan_cache)));
+        Self { cfg, energy: EnergyModel::paper_28nm(), plan_cache }
     }
 
     /// The configuration.
     pub fn config(&self) -> &TransArrayConfig {
         &self.cfg
-    }
-
-    /// The energy model.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
-    /// The shared plan cache, when the `plan_cache` knob enabled one.
-    fn plan_cache(&self) -> Option<&SharedPlanCache> {
-        self.plan_cache.as_deref()
     }
 
     /// Hit/miss/eviction counters of the plan cache (`None` when the
@@ -210,167 +222,34 @@ impl TransitiveArray {
     /// simulated exactly (Scoreboard, lanes, conflicts); cycle/op/energy
     /// counts are scaled by the sampling fraction and the `M`-tiling
     /// repetition (sub-tile schedules are input-independent, so this is
-    /// exact whenever sampling is off).
-    ///
-    /// With `threads != 1` the sampled sub-tile sequence is sharded
-    /// across the tile-execution runtime; the report is bit-exact against
-    /// the serial run (see the `runtime` module's determinism contract).
-    /// Sources that cannot [`PatternSource::fork`] fall back to the
-    /// serial loop.
-    pub fn simulate_layer(&self, shape: GemmShape, source: &mut dyn PatternSource) -> GemmReport {
-        self.simulate_layer_with(shape, source, &Runtime::new(self.cfg.threads))
-    }
-
-    /// [`Self::simulate_layer`] on an explicit runtime (the [`Batch`]
-    /// API pins jobs to serial workers through this entry point).
-    ///
-    /// [`Batch`]: crate::runtime::Batch
-    pub(crate) fn simulate_layer_with(
+    /// exact whenever sampling is off). The sampled sequence runs on the
+    /// sharded [`walk`], so the report is bit-exact at any thread count.
+    pub(crate) fn simulate(
         &self,
         shape: GemmShape,
         source: &mut dyn PatternSource,
         rt: &Runtime,
     ) -> GemmReport {
-        assert_eq!(source.width(), self.cfg.width, "source width mismatch");
-        let t = self.cfg.width as usize;
         let n_tiles = shape.n.div_ceil(self.cfg.n_tile());
-        let k_chunks = shape.k.div_ceil(t);
-        let total = (n_tiles * k_chunks) as u64;
-        let limit = self.cfg.sample_limit as u64;
+        let k_chunks = shape.k.div_ceil(self.cfg.width as usize);
+        let total = n_tiles * k_chunks;
+        let limit = self.cfg.sample_limit;
         let step = if limit > 0 && total > limit { total.div_ceil(limit) } else { 1 };
-
-        if rt.threads() > 1 {
-            if let Some(report) =
-                self.simulate_layer_sharded(shape, source, rt, k_chunks, step, total)
-            {
-                return report;
+        let grid = Grid { k_chunks, step, sampled: total.div_ceil(step) };
+        let static_si = self.static_si(source, rt, grid);
+        let (si, cache) = (static_si.as_ref(), self.plan_cache.as_deref());
+        let aggs = walk(source, rt, grid.sampled, |src, positions| {
+            let mut agg = Agg::default();
+            for pos in positions {
+                let (nt, kc) = grid.subtile(pos);
+                agg.add(&process_subtile(&self.cfg, si, &src.subtile_patterns(nt, kc), cache));
             }
-        }
-
-        // Serial fallback. The SI build uses the serial runtime too: if
-        // the sharded path was viable it would have returned above, so a
-        // sharded SI attempt here would deterministically fail again.
-        let static_si =
-            self.build_static_si(n_tiles, k_chunks, step as usize, source, &Runtime::serial());
-
-        let mut agg = Agg::default();
-        let mut idx = 0u64;
-        while idx < total {
-            let (nt, kc) = ((idx / k_chunks as u64) as usize, (idx % k_chunks as u64) as usize);
-            let patterns = source.subtile_patterns(nt, kc);
-            let rep =
-                process_subtile_cached(&self.cfg, static_si.as_ref(), &patterns, self.plan_cache());
-            agg.add(&rep);
-            idx += step;
-        }
-        self.finalize(shape, agg, total)
+            agg
+        });
+        self.finalize(shape, Agg::merge_shards(&aggs), total as u64)
     }
 
-    /// The parallel body of [`Self::simulate_layer`]: shards the sampled
-    /// sub-tile sequence into contiguous ranges, forks the source per
-    /// worker, and merges per-worker aggregates in shard order. Returns
-    /// `None` (caller falls back to serial) when the grid is too small to
-    /// shard or the source cannot fork.
-    fn simulate_layer_sharded(
-        &self,
-        shape: GemmShape,
-        source: &mut dyn PatternSource,
-        rt: &Runtime,
-        k_chunks: usize,
-        step: u64,
-        total: u64,
-    ) -> Option<GemmReport> {
-        let sampled = total.div_ceil(step) as usize;
-        let shards = rt.shards_for(sampled);
-        if shards.len() <= 1 {
-            return None;
-        }
-        // Static mode forks its own set for the SI calibration pass (the
-        // forks below are consumed by the processing pass), so build the
-        // SI first: a non-forkable source then bails before any
-        // processing forks are allocated.
-        let static_si = match self.build_static_si_sharded(&*source, rt, k_chunks, step, sampled) {
-            Ok(si) => si,
-            Err(CannotFork) => return None,
-        };
-        let mut forks = Vec::with_capacity(shards.len());
-        for _ in 0..shards.len() {
-            forks.push(source.fork()?);
-        }
-        let si_ref = static_si.as_ref();
-        let cache = self.plan_cache();
-        let aggs =
-            rt.run_shards_with(shards.into_iter().zip(forks).collect(), |_, positions, mut src| {
-                let mut agg = Agg::default();
-                for pos in positions {
-                    let idx = pos as u64 * step;
-                    let (nt, kc) =
-                        ((idx / k_chunks as u64) as usize, (idx % k_chunks as u64) as usize);
-                    let patterns = src.subtile_patterns(nt, kc);
-                    agg.add(&process_subtile_cached(&self.cfg, si_ref, &patterns, cache));
-                }
-                agg
-            });
-        Some(self.finalize(shape, Agg::merge_shards(&aggs), total))
-    }
-
-    /// Executes one GEMM **functionally and exactly** (bit-exact against
-    /// [`ta_quant::gemm_i32`]) while producing the same performance report
-    /// as [`Self::simulate_layer`] without sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights don't fit `weight_bits`, the inputs don't fit
-    /// `act_bits`, shapes disagree, or an accumulator overflows `i32`.
-    /// Prefer [`Self::try_execute_gemm`] (or the [`crate::Session`] API)
-    /// in code that must not panic.
-    pub fn execute_gemm(&self, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
-        match self.try_execute_gemm(weights, input) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::execute_gemm`] with operand validation instead of panics:
-    /// shape mismatch and out-of-range operands come back as [`TaError`].
-    ///
-    /// # Errors
-    ///
-    /// [`TaError::ShapeMismatch`] when `weights.cols() != input.rows()`,
-    /// [`TaError::WeightRange`] / [`TaError::InputRange`] when an operand
-    /// exceeds the configured precision.
-    pub fn try_execute_gemm(
-        &self,
-        weights: &MatI32,
-        input: &MatI32,
-    ) -> Result<(MatI32, GemmReport), TaError> {
-        self.check_gemm_operands(weights, input)?;
-        Ok(self.execute_gemm_with(weights, input, &Runtime::new(self.cfg.threads), &mut NullSink))
-    }
-
-    /// [`Self::try_execute_gemm`] that additionally streams every
-    /// computed pattern result into `sink` as it is finalized (the
-    /// serving frontend's per-request streaming hook).
-    ///
-    /// Streaming runs the sub-tile grid **serially** so emissions arrive
-    /// in the deterministic serial order; the returned output and report
-    /// are bit-identical to [`Self::execute_gemm`] either way (the
-    /// determinism contract makes parallel ≡ serial).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::try_execute_gemm`].
-    pub fn execute_gemm_streaming(
-        &self,
-        weights: &MatI32,
-        input: &MatI32,
-        sink: &mut dyn ResultSink,
-    ) -> Result<(MatI32, GemmReport), TaError> {
-        self.check_gemm_operands(weights, input)?;
-        Ok(self.execute_gemm_with(weights, input, &Runtime::serial(), sink))
-    }
-
-    /// Validates `execute_gemm` operands against the configuration.
+    /// Validates execute operands against the configuration.
     pub(crate) fn check_gemm_operands(
         &self,
         weights: &MatI32,
@@ -391,19 +270,24 @@ impl TransitiveArray {
         Ok(())
     }
 
-    /// The execution engine behind every `execute_gemm` flavor: operands
-    /// are assumed validated. With a multi-worker runtime the weight
-    /// tiles shard across the pool (`sink` must then be [`NullSink`]-like
-    /// and is only fed from the serial path); [`crate::Session`] and the
-    /// batch paths pass [`Runtime::serial`] to pin one request to one
-    /// worker.
-    pub(crate) fn execute_gemm_with(
+    /// Executes one GEMM **functionally and exactly** (bit-exact against
+    /// [`ta_quant::gemm_i32`]) while producing the same performance report
+    /// as [`Self::simulate`] without sampling. Operands are assumed
+    /// validated. With a multi-worker runtime the weight tiles shard
+    /// across the pool; only the one-shard case feeds a live `sink`, so
+    /// streaming callers pass [`Runtime::serial`].
+    ///
+    /// # Errors
+    ///
+    /// [`TaError::AccumulatorOverflow`] when an output element does not
+    /// fit `i32`.
+    pub(crate) fn execute(
         &self,
         weights: &MatI32,
         input: &MatI32,
         rt: &Runtime,
         sink: &mut dyn ResultSink,
-    ) -> (MatI32, GemmReport) {
+    ) -> Result<(MatI32, GemmReport), TaError> {
         let shape = GemmShape::new(weights.rows(), weights.cols(), input.cols());
         let sliced = BitSlicedMatrix::slice_parallel(weights, self.cfg.weight_bits, rt.threads());
         let t = self.cfg.width as usize;
@@ -412,7 +296,8 @@ impl TransitiveArray {
         let k_chunks = shape.k.div_ceil(t);
 
         let mut source = SlicedSource::new(&sliced, n_tile, self.cfg.width);
-        let static_si = self.build_static_si(n_tiles, k_chunks, 1, &mut source, rt);
+        let grid = Grid { k_chunks, step: 1, sampled: n_tiles * k_chunks };
+        let static_si = self.static_si(&mut source, rt, grid);
 
         // Stage the whole input once as a single contiguous row-major
         // buffer (zero-padded past K): sub-tile evaluations borrow `T`
@@ -470,12 +355,16 @@ impl TransitiveArray {
                 )
             })
         };
-        let agg = Agg::merge_shards(&aggs);
-        let out = MatI32::from_fn(shape.n, shape.m, |r, c| {
-            i32::try_from(acc.row(r)[c]).expect("TransArray accumulation overflowed i32")
-        });
-        let report = self.finalize(shape, agg, (n_tiles * k_chunks) as u64);
-        (out, report)
+        // Exact overflow check on the i64 accumulator: a request fails
+        // only when some output element really does not fit `i32`.
+        let acc = acc.as_slice();
+        if let Some(i) = acc.iter().position(|&v| i32::try_from(v).is_err()) {
+            let (row, col) = (i / shape.m, i % shape.m);
+            return Err(TaError::AccumulatorOverflow { row, col, value: acc[i] });
+        }
+        let out = MatI32::from_vec(shape.n, shape.m, acc.iter().map(|&v| v as i32).collect());
+        let report = self.finalize(shape, Agg::merge_shards(&aggs), (n_tiles * k_chunks) as u64);
+        Ok((out, report))
     }
 
     /// One worker's share of the fused execute path: walks `tiles` in
@@ -497,7 +386,7 @@ impl TransitiveArray {
         let t = self.cfg.width as usize;
         let s_bits = self.cfg.weight_bits as usize;
         let n_tile = self.cfg.n_tile();
-        let cache = self.plan_cache();
+        let cache = self.plan_cache.as_deref();
         let mut src = SlicedSource::new(sliced, n_tile, self.cfg.width);
         let row_offset = tiles.start * n_tile;
         let mut agg = Agg::default();
@@ -510,7 +399,7 @@ impl TransitiveArray {
             for kc in 0..k_chunks {
                 src.subtile_patterns_into(nt, kc, &mut patterns);
                 let inputs = staged.view_rows(kc * t, t);
-                let rep = process_and_evaluate_subtile_into(
+                let rep = execute_subtile(
                     &self.cfg,
                     si_ref,
                     &patterns,
@@ -546,71 +435,27 @@ impl TransitiveArray {
     }
 
     /// Builds the static SI (offline calibration over the sampled tensor
-    /// patterns) when the config asks for static mode, sharding the
-    /// pattern collection across the runtime when the source forks.
-    fn build_static_si(
+    /// patterns) when the config asks for static mode. The collection
+    /// runs on the sharded [`walk`]; concatenating the per-shard pattern
+    /// lists in shard order reproduces the serial sequence exactly.
+    fn static_si(
         &self,
-        n_tiles: usize,
-        k_chunks: usize,
-        step: usize,
         source: &mut dyn PatternSource,
         rt: &Runtime,
+        grid: Grid,
     ) -> Option<StaticSi> {
         if self.cfg.scoreboard_mode != ScoreboardMode::Static {
             return None;
         }
-        let step = step.max(1) as u64;
-        let total = (n_tiles * k_chunks) as u64;
-        let sampled = total.div_ceil(step) as usize;
-        if rt.threads() > 1 {
-            if let Ok(si) = self.build_static_si_sharded(&*source, rt, k_chunks, step, sampled) {
-                return si;
+        let parts = walk(source, rt, grid.sampled, |src, positions| {
+            let mut all = Vec::new();
+            for pos in positions {
+                let (nt, kc) = grid.subtile(pos);
+                all.extend(src.subtile_patterns(nt, kc));
             }
-        }
-        let mut all = Vec::new();
-        let mut idx = 0u64;
-        while idx < total {
-            let (nt, kc) = ((idx / k_chunks as u64) as usize, (idx % k_chunks as u64) as usize);
-            all.extend(source.subtile_patterns(nt, kc));
-            idx += step;
-        }
-        Some(StaticSi::from_patterns(self.cfg.scoreboard_config(), all))
-    }
-
-    /// Sharded static-SI calibration: workers collect the sampled
-    /// patterns of contiguous shard ranges; concatenating in shard order
-    /// reproduces the serial pattern sequence exactly.
-    fn build_static_si_sharded(
-        &self,
-        source: &dyn PatternSource,
-        rt: &Runtime,
-        k_chunks: usize,
-        step: u64,
-        sampled: usize,
-    ) -> Result<Option<StaticSi>, CannotFork> {
-        if self.cfg.scoreboard_mode != ScoreboardMode::Static {
-            return Ok(None);
-        }
-        let shards = rt.shards_for(sampled);
-        if shards.len() <= 1 {
-            return Err(CannotFork);
-        }
-        let mut forks = Vec::with_capacity(shards.len());
-        for _ in 0..shards.len() {
-            forks.push(source.fork().ok_or(CannotFork)?);
-        }
-        let parts =
-            rt.run_shards_with(shards.into_iter().zip(forks).collect(), |_, positions, mut src| {
-                let mut all = Vec::new();
-                for pos in positions {
-                    let idx = pos as u64 * step;
-                    let (nt, kc) =
-                        ((idx / k_chunks as u64) as usize, (idx % k_chunks as u64) as usize);
-                    all.extend(src.subtile_patterns(nt, kc));
-                }
-                all
-            });
-        Ok(Some(StaticSi::from_patterns(self.cfg.scoreboard_config(), parts.into_iter().flatten())))
+            all
+        });
+        Some(StaticSi::from_patterns(self.cfg.scoreboard_config(), parts.into_iter().flatten()))
     }
 
     fn finalize(&self, shape: GemmShape, agg: Agg, subtiles_total: u64) -> GemmReport {
@@ -735,6 +580,18 @@ mod tests {
     use super::*;
     use ta_quant::gemm_i32;
 
+    impl TransitiveArray {
+        /// Executes on the `threads` knob's runtime, panicking on error.
+        fn run_exec(&self, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
+            self.execute(weights, input, &Runtime::new(self.cfg.threads), &mut NullSink).unwrap()
+        }
+
+        /// Simulates on the `threads` knob's runtime over a borrowed source.
+        fn run_sim(&self, shape: GemmShape, source: &mut dyn PatternSource) -> GemmReport {
+            self.simulate(shape, source, &Runtime::new(self.cfg.threads))
+        }
+    }
+
     fn small_cfg(weight_bits: u32, mode: ScoreboardMode) -> TransArrayConfig {
         TransArrayConfig {
             width: 4,
@@ -763,7 +620,7 @@ mod tests {
         let ta = TransitiveArray::new(small_cfg(4, ScoreboardMode::Dynamic));
         let w = det_mat(10, 13, 4, 1);
         let x = det_mat(13, 7, 8, 2);
-        let (out, rep) = ta.execute_gemm(&w, &x);
+        let (out, rep) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x), "TransArray must be bit-exact");
         assert!(rep.total_ops > 0);
         assert!(rep.density > 0.0 && rep.density <= 1.0);
@@ -775,7 +632,7 @@ mod tests {
         let ta = TransitiveArray::new(small_cfg(4, ScoreboardMode::Static));
         let w = det_mat(9, 11, 4, 3);
         let x = det_mat(11, 5, 8, 4);
-        let (out, _) = ta.execute_gemm(&w, &x);
+        let (out, _) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x), "static mode must be bit-exact too");
     }
 
@@ -793,7 +650,7 @@ mod tests {
         let ta = TransitiveArray::new(cfg);
         let w = det_mat(8, 20, 8, 5);
         let x = det_mat(20, 6, 8, 6);
-        let (out, _) = ta.execute_gemm(&w, &x);
+        let (out, _) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x));
     }
 
@@ -803,7 +660,7 @@ mod tests {
         let ta = TransitiveArray::new(small_cfg(4, ScoreboardMode::Dynamic));
         let w = MatI32::from_fn(6, 9, |r, c| -(((r * 9 + c) % 8) as i32) - 1);
         let x = det_mat(9, 3, 8, 7);
-        let (out, _) = ta.execute_gemm(&w, &x);
+        let (out, _) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x));
     }
 
@@ -817,7 +674,7 @@ mod tests {
         let sliced = BitSlicedMatrix::slice(&w, 8);
         let mut src = SlicedSource::new(&sliced, ta.config().n_tile(), 8);
         let shape = GemmShape::new(64, 64, 128);
-        let rep = ta.simulate_layer(shape, &mut src);
+        let rep = ta.run_sim(shape, &mut src);
         assert!(rep.cycles >= rep.compute_cycles.min(rep.dram_cycles));
         assert!(rep.density > 0.05 && rep.density < 1.0, "density {}", rep.density);
         assert!(rep.energy.total() > 0.0);
@@ -835,12 +692,12 @@ mod tests {
         let full_cfg = TransArrayConfig { sample_limit: 0, ..TransArrayConfig::paper_w8() };
         let full_ta = TransitiveArray::new(full_cfg);
         let mut src = SlicedSource::new(&sliced, full_ta.config().n_tile(), 8);
-        let full = full_ta.simulate_layer(shape, &mut src);
+        let full = full_ta.run_sim(shape, &mut src);
 
         let sampled_cfg = TransArrayConfig { sample_limit: 32, ..TransArrayConfig::paper_w8() };
         let sampled_ta = TransitiveArray::new(sampled_cfg);
         let mut src2 = SlicedSource::new(&sliced, sampled_ta.config().n_tile(), 8);
-        let sampled = sampled_ta.simulate_layer(shape, &mut src2);
+        let sampled = sampled_ta.run_sim(shape, &mut src2);
 
         assert!(sampled.subtiles_simulated < full.subtiles_simulated);
         let ratio = sampled.cycles as f64 / full.cycles as f64;
@@ -861,7 +718,7 @@ mod tests {
         });
         let s8 = BitSlicedMatrix::slice(&w8, 8);
         let mut src8 = SlicedSource::new(&s8, ta8.config().n_tile(), 8);
-        let r8 = ta8.simulate_layer(shape, &mut src8);
+        let r8 = ta8.run_sim(shape, &mut src8);
 
         let ta4 = TransitiveArray::new(TransArrayConfig {
             sample_limit: 0,
@@ -869,7 +726,7 @@ mod tests {
         });
         let s4 = BitSlicedMatrix::slice(&w4, 4);
         let mut src4 = SlicedSource::new(&s4, ta4.config().n_tile(), 8);
-        let r4 = ta4.simulate_layer(shape, &mut src4);
+        let r4 = ta4.run_sim(shape, &mut src4);
 
         assert!(
             r4.cycles * 3 < r8.cycles * 2,
@@ -891,7 +748,7 @@ mod tests {
                 TransArrayConfig { act_bits, sample_limit: 0, ..TransArrayConfig::paper_w8() };
             let ta = TransitiveArray::new(cfg);
             let mut src = SlicedSource::new(&sliced, ta.config().n_tile(), 8);
-            ta.simulate_layer(shape, &mut src)
+            ta.run_sim(shape, &mut src)
         };
         let a8 = run(8);
         let a4 = run(4);
@@ -907,7 +764,7 @@ mod tests {
         let ta = TransitiveArray::new(cfg);
         let w = det_mat(10, 12, 4, 13);
         let x = det_mat(12, 9, 4, 14);
-        let (out, _) = ta.execute_gemm(&w, &x);
+        let (out, _) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x));
     }
 
@@ -922,7 +779,7 @@ mod tests {
         let w = det_mat(256, 256, 8, 15);
         let sliced = BitSlicedMatrix::slice(&w, 8);
         let mut src = SlicedSource::new(&sliced, ta.config().n_tile(), 8);
-        let rep = ta.simulate_layer(GemmShape::new(256, 256, 256), &mut src);
+        let rep = ta.run_sim(GemmShape::new(256, 256, 256), &mut src);
         assert!(rep.vpu_cycles > 0);
         assert!(
             rep.vpu_cycles < rep.compute_cycles,
@@ -943,15 +800,15 @@ mod tests {
 
             let uncached = TransitiveArray::new(base_cfg.clone());
             let mut src = SlicedSource::new(&sliced, uncached.config().n_tile(), 8);
-            let want = uncached.simulate_layer(shape, &mut src);
+            let want = uncached.run_sim(shape, &mut src);
             assert!(uncached.plan_cache_stats().is_none());
 
             let cached =
                 TransitiveArray::new(base_cfg.to_builder().plan_cache(256).build().unwrap());
             let mut src = SlicedSource::new(&sliced, cached.config().n_tile(), 8);
-            let first = cached.simulate_layer(shape, &mut src);
+            let first = cached.run_sim(shape, &mut src);
             let mut src = SlicedSource::new(&sliced, cached.config().n_tile(), 8);
-            let second = cached.simulate_layer(shape, &mut src);
+            let second = cached.run_sim(shape, &mut src);
             assert_eq!(first, want, "{mode:?}: cold cached run must equal uncached");
             assert_eq!(second, want, "{mode:?}: warm cached run must equal uncached");
             let stats = cached.plan_cache_stats().expect("cache enabled");
@@ -967,15 +824,15 @@ mod tests {
             let ta = TransitiveArray::new(cfg);
             let w = det_mat(10, 13, 4, 31);
             let x = det_mat(13, 7, 8, 32);
-            let (out, rep) = ta.execute_gemm(&w, &x);
+            let (out, rep) = ta.run_exec(&w, &x);
             assert_eq!(out, gemm_i32(&w, &x), "{mode:?}: cached GEMM must stay lossless");
             let uncached = TransitiveArray::new(small_cfg(4, mode));
-            let (out2, rep2) = uncached.execute_gemm(&w, &x);
+            let (out2, rep2) = uncached.run_exec(&w, &x);
             assert_eq!(out, out2);
             assert_eq!(rep, rep2, "{mode:?}: cached report must equal uncached");
             // Repeat the same GEMM on the same accelerator.
             let before = ta.plan_cache_stats().unwrap();
-            let _ = ta.execute_gemm(&w, &x);
+            let _ = ta.run_exec(&w, &x);
             let after = ta.plan_cache_stats().unwrap();
             match mode {
                 ScoreboardMode::Dynamic => {
@@ -999,7 +856,7 @@ mod tests {
         let ta = TransitiveArray::new(cfg);
         let w = det_mat(12, 17, 4, 33);
         let x = det_mat(17, 5, 8, 34);
-        let (out, _) = ta.execute_gemm(&w, &x);
+        let (out, _) = ta.run_exec(&w, &x);
         assert_eq!(out, gemm_i32(&w, &x));
         let stats = ta.plan_cache_stats().unwrap();
         assert!(stats.evictions > 0, "capacity 1 must evict: {stats:?}");
@@ -1010,7 +867,7 @@ mod tests {
         let ta = TransitiveArray::new(small_cfg(4, ScoreboardMode::Dynamic));
         let w = MatI32::zeros(8, 8);
         let x = det_mat(8, 4, 8, 11);
-        let (out, rep) = ta.execute_gemm(&w, &x);
+        let (out, rep) = ta.run_exec(&w, &x);
         assert!(out.as_slice().iter().all(|&v| v == 0));
         assert_eq!(rep.total_ops, 0);
         assert_eq!(rep.density, 0.0);

@@ -61,21 +61,10 @@ pub struct TransArrayConfig {
     /// multiset (LRU eviction; see `ta_hasse::PlanCache`). Cached and
     /// freshly-planned results are **bit-identical** — the cache changes
     /// wall time only, never a report. Shared by every worker thread of
-    /// one accelerator and by every job of a `Batch` on it. `TA_PLAN_CACHE`
-    /// overrides the knob in the bench binaries.
+    /// one session and by every request of a `Session::run_batch`; its
+    /// shard count is `ta_hasse::SharedPlanCache::new`'s automatic one.
+    /// `TA_PLAN_CACHE` overrides the knob in the bench binaries.
     pub plan_cache: usize,
-    /// Plan-cache shard count: `0` (the default) picks ~4× the host
-    /// cores rounded up to a power of two, then halves until each shard
-    /// keeps ≥ 8 entries (a small cache falls back to one shard rather
-    /// than degenerate into 1-entry direct-mapped slots); `n` is rounded
-    /// up to a power of two and clamped to the cache capacity but
-    /// otherwise honored (see `ta_hasse::SharedPlanCache::with_shards`
-    /// — prefer `0` or `1` for small capacities). More shards mean less
-    /// lock contention between workers that miss concurrently; hits
-    /// never contend regardless (they take a shard read lock only).
-    /// Ignored when `plan_cache` is `0`. `TA_PLAN_CACHE_SHARDS`
-    /// overrides the knob in the bench binaries.
-    pub plan_cache_shards: usize,
 }
 
 impl TransArrayConfig {
@@ -98,7 +87,6 @@ impl TransArrayConfig {
             sample_limit: 2048,
             threads: 1,
             plan_cache: 0,
-            plan_cache_shards: 0,
         }
     }
 
@@ -111,30 +99,6 @@ impl TransArrayConfig {
     /// point — the recommended way to derive a configuration.
     pub fn builder() -> ConfigBuilder {
         Self::paper_w8().to_builder()
-    }
-
-    /// Returns the configuration with the runtime `threads` knob set
-    /// (`0` = one worker per available core).
-    #[deprecated(since = "0.1.0", note = "use TransArrayConfig::builder().threads(n).build()")]
-    pub fn with_threads(self, threads: usize) -> Self {
-        Self { threads, ..self }
-    }
-
-    /// Returns the configuration with the `plan_cache` knob set
-    /// (capacity in entries; `0` = off).
-    #[deprecated(since = "0.1.0", note = "use TransArrayConfig::builder().plan_cache(n).build()")]
-    pub fn with_plan_cache(self, plan_cache: usize) -> Self {
-        Self { plan_cache, ..self }
-    }
-
-    /// Returns the configuration with the `plan_cache_shards` knob set
-    /// (`0` = auto: ~4× cores rounded up to a power of two).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use TransArrayConfig::builder().plan_cache_shards(n).build()"
-    )]
-    pub fn with_plan_cache_shards(self, plan_cache_shards: usize) -> Self {
-        Self { plan_cache_shards, ..self }
     }
 
     /// Table 1's design point with 4-bit weights (`N = 64` rows/tile).
@@ -183,9 +147,8 @@ impl TransArrayConfig {
     }
 
     /// Validates internal consistency, returning the first violated
-    /// constraint. This is the non-panicking twin of [`Self::validate`]
-    /// and what [`ConfigBuilder::build`] and [`crate::Session::new`]
-    /// call.
+    /// constraint — what [`ConfigBuilder::build`] and
+    /// [`crate::Session::new`] call.
     ///
     /// # Errors
     ///
@@ -218,26 +181,12 @@ impl TransArrayConfig {
         self.scoreboard_config();
         Ok(())
     }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent parameters (zero sizes, indivisible rows,
-    /// unsupported widths). Prefer [`Self::try_validate`] (or the
-    /// [`ConfigBuilder`]) in code that must not panic.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Validating builder for [`TransArrayConfig`] — the front door of the
-/// request–response API. Unlike poking fields (or the deprecated
-/// `with_*` shims, which clamp or panic later), [`ConfigBuilder::build`]
-/// checks every knob **and** the cross-knob interactions up front and
-/// returns `Result<TransArrayConfig, ConfigError>`.
+/// request–response API. Poked fields are only checked when a
+/// [`crate::Session`] opens; [`ConfigBuilder::build`] checks every knob
+/// up front and returns `Result<TransArrayConfig, ConfigError>`.
 ///
 /// # Examples
 ///
@@ -247,15 +196,13 @@ impl TransArrayConfig {
 /// let cfg = TransArrayConfig::builder()
 ///     .threads(2)
 ///     .plan_cache(4096)
-///     .plan_cache_shards(8)
 ///     .sample_limit(64)
 ///     .build()
 ///     .expect("valid config");
 /// assert_eq!(cfg.threads, 2);
 ///
-/// // Shards without a cache are rejected instead of silently ignored.
-/// let err = TransArrayConfig::builder().plan_cache_shards(8).build().unwrap_err();
-/// assert!(matches!(err, ConfigError::ShardsWithoutCache { .. }));
+/// let err = TransArrayConfig::builder().units(0).build().unwrap_err();
+/// assert_eq!(err, ConfigError::ZeroUnits);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConfigBuilder {
@@ -330,31 +277,13 @@ impl ConfigBuilder {
         self
     }
 
-    /// Plan-cache shard count (`0` = auto). Requires `plan_cache > 0`
-    /// and at most one shard per cache entry — violations are build
-    /// errors here where the legacy constructors clamp silently.
-    pub fn plan_cache_shards(mut self, plan_cache_shards: usize) -> Self {
-        self.cfg.plan_cache_shards = plan_cache_shards;
-        self
-    }
-
-    /// Validates every knob plus the cross-knob interactions and returns
-    /// the configuration.
+    /// Validates every knob and returns the configuration.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint as a [`ConfigError`].
     pub fn build(self) -> Result<TransArrayConfig, ConfigError> {
         self.cfg.try_validate()?;
-        if self.cfg.plan_cache == 0 && self.cfg.plan_cache_shards > 0 {
-            return Err(ConfigError::ShardsWithoutCache { shards: self.cfg.plan_cache_shards });
-        }
-        if self.cfg.plan_cache > 0 && self.cfg.plan_cache_shards > self.cfg.plan_cache {
-            return Err(ConfigError::ShardsExceedCache {
-                shards: self.cfg.plan_cache_shards,
-                cache: self.cfg.plan_cache,
-            });
-        }
         Ok(self.cfg)
     }
 }
@@ -372,7 +301,7 @@ mod tests {
     #[test]
     fn table1_w8_design_point() {
         let c = TransArrayConfig::paper_w8();
-        c.validate();
+        c.try_validate().unwrap();
         assert_eq!(c.width, 8);
         assert_eq!(c.max_transrows, 256);
         assert_eq!(c.n_tile(), 32);
@@ -384,7 +313,7 @@ mod tests {
     #[test]
     fn table1_w4_design_point() {
         let c = TransArrayConfig::paper_w4();
-        c.validate();
+        c.try_validate().unwrap();
         assert_eq!(c.n_tile(), 64);
     }
 
@@ -402,7 +331,7 @@ mod tests {
         assert_eq!(TransArrayConfig::paper_w8().threads, 1);
         let four = TransArrayConfig::builder().threads(4).build().unwrap();
         assert_eq!(four.threads, 4);
-        TransArrayConfig::builder().threads(0).build().unwrap().validate();
+        TransArrayConfig::builder().threads(0).build().unwrap().try_validate().unwrap();
     }
 
     #[test]
@@ -410,23 +339,7 @@ mod tests {
         assert_eq!(TransArrayConfig::paper_w8().plan_cache, 0);
         let on = TransArrayConfig::builder().plan_cache(4096).build().unwrap();
         assert_eq!(on.plan_cache, 4096);
-        on.validate();
-    }
-
-    #[test]
-    fn plan_cache_shards_knob_defaults_auto() {
-        assert_eq!(TransArrayConfig::paper_w8().plan_cache_shards, 0);
-        let sharded =
-            TransArrayConfig::builder().plan_cache(4096).plan_cache_shards(8).build().unwrap();
-        assert_eq!(sharded.plan_cache_shards, 8);
-        sharded.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn indivisible_rows_rejected() {
-        let c = TransArrayConfig { max_transrows: 100, weight_bits: 8, ..Default::default() };
-        c.validate();
+        on.try_validate().unwrap();
     }
 
     #[test]
@@ -450,21 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_shard_cache_interactions() {
-        use crate::error::ConfigError;
-        // Shards without a cache would be silently ignored — rejected.
-        let err = TransArrayConfig::builder().plan_cache_shards(4).build().unwrap_err();
-        assert_eq!(err, ConfigError::ShardsWithoutCache { shards: 4 });
-        // More shards than entries would degenerate — the legacy path
-        // clamps, the builder refuses.
-        let err =
-            TransArrayConfig::builder().plan_cache(8).plan_cache_shards(64).build().unwrap_err();
-        assert_eq!(err, ConfigError::ShardsExceedCache { shards: 64, cache: 8 });
-        // The boundary (one entry per shard) is fine.
-        TransArrayConfig::builder().plan_cache(8).plan_cache_shards(8).build().unwrap();
-    }
-
-    #[test]
     fn builder_round_trips_every_knob() {
         let cfg = TransArrayConfig::builder()
             .width(4)
@@ -478,7 +376,6 @@ mod tests {
             .sample_limit(64)
             .threads(2)
             .plan_cache(128)
-            .plan_cache_shards(2)
             .build()
             .unwrap();
         assert_eq!(
@@ -495,28 +392,8 @@ mod tests {
                 sample_limit: 64,
                 threads: 2,
                 plan_cache: 128,
-                plan_cache_shards: 2,
                 ..TransArrayConfig::paper_w8()
             }
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_compile_and_agree_with_builder() {
-        // The pre-builder constructors stay as thin shims so downstream
-        // code keeps compiling; they must keep producing the same
-        // configurations the builder does.
-        let shim = TransArrayConfig::paper_w8()
-            .with_threads(2)
-            .with_plan_cache(256)
-            .with_plan_cache_shards(4);
-        let built = TransArrayConfig::builder()
-            .threads(2)
-            .plan_cache(256)
-            .plan_cache_shards(4)
-            .build()
-            .unwrap();
-        assert_eq!(shim, built);
     }
 }

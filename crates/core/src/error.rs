@@ -1,11 +1,9 @@
 //! Error types for the public request–response API.
 //!
-//! The historical entry points (`TransitiveArray::new`, `execute_gemm`)
-//! panic on bad inputs — fine for experiment drivers, fatal for a serving
-//! frontend. Everything reachable from [`crate::Session`] returns
-//! [`TaError`] instead; panics remain only for internal invariant
-//! violations (a computed pattern missing from the slab, an accumulator
-//! overflowing the simulated datapath).
+//! Everything reachable from [`crate::Session`] returns [`TaError`]
+//! instead of panicking: a request [`crate::Session::validate`] accepts
+//! runs to an `Ok` or a typed error. Panics remain only for internal
+//! invariant violations (a computed pattern missing from the slab).
 
 use std::error::Error;
 use std::fmt;
@@ -44,21 +42,6 @@ pub enum ConfigError {
     ZeroUnits,
     /// `m_tile` was zero.
     ZeroMTile,
-    /// `plan_cache_shards` was set while the plan cache is disabled
-    /// (`plan_cache == 0`) — the knob would be silently ignored.
-    ShardsWithoutCache {
-        /// The requested shard count.
-        shards: usize,
-    },
-    /// More plan-cache shards than cache entries: every shard would hold
-    /// less than one entry. The legacy constructors clamp this silently;
-    /// the builder rejects it.
-    ShardsExceedCache {
-        /// The requested shard count.
-        shards: usize,
-        /// The requested cache capacity (entries).
-        cache: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -80,16 +63,6 @@ impl fmt::Display for ConfigError {
             }
             Self::ZeroUnits => write!(f, "need at least one unit"),
             Self::ZeroMTile => write!(f, "m_tile must be non-zero"),
-            Self::ShardsWithoutCache { shards } => write!(
-                f,
-                "plan_cache_shards = {shards} has no effect with plan_cache = 0; \
-                 enable the cache or drop the shard knob"
-            ),
-            Self::ShardsExceedCache { shards, cache } => write!(
-                f,
-                "plan_cache_shards ({shards}) exceeds plan_cache capacity ({cache}): \
-                 each shard must hold at least one entry"
-            ),
         }
     }
 }
@@ -127,6 +100,26 @@ pub enum TaError {
         /// The accelerator's TransRow width.
         accelerator: u32,
     },
+    /// A GEMM dimension is zero (e.g. an input with no columns): there is
+    /// nothing to tile.
+    EmptyOperand {
+        /// Weight rows.
+        n: usize,
+        /// Reduction dimension.
+        k: usize,
+        /// Input columns.
+        m: usize,
+    },
+    /// An execute request's exact result does not fit the `i32` output
+    /// (reported for the first such element in row-major order).
+    AccumulatorOverflow {
+        /// Output row of the element.
+        row: usize,
+        /// Output column of the element.
+        col: usize,
+        /// The exact (i64) value that does not fit.
+        value: i64,
+    },
 }
 
 impl TaError {
@@ -143,6 +136,8 @@ impl TaError {
             Self::InputRange { .. } => "input_range",
             Self::WeightRange { .. } => "weight_range",
             Self::SourceWidthMismatch { .. } => "source_width_mismatch",
+            Self::EmptyOperand { .. } => "empty_operand",
+            Self::AccumulatorOverflow { .. } => "accumulator_overflow",
         }
     }
 }
@@ -167,6 +162,12 @@ impl fmt::Display for TaError {
                 "source width mismatch: source emits width-{source} patterns but the \
                  accelerator runs width {accelerator}"
             ),
+            Self::EmptyOperand { n, k, m } => {
+                write!(f, "empty GEMM operand: shape {n}x{k}x{m} has a zero dimension")
+            }
+            Self::AccumulatorOverflow { row, col, value } => {
+                write!(f, "output ({row}, {col}) = {value} overflows i32")
+            }
         }
     }
 }
@@ -194,8 +195,8 @@ mod tests {
     fn display_messages_name_the_knob() {
         let e = ConfigError::IndivisibleTransrows { max_transrows: 100, weight_bits: 8 };
         assert!(e.to_string().contains("must divide"));
-        let e = ConfigError::ShardsExceedCache { shards: 64, cache: 8 };
-        assert!(e.to_string().contains("64") && e.to_string().contains("8"));
+        let e = TaError::AccumulatorOverflow { row: 0, col: 3, value: 1 << 32 };
+        assert!(e.to_string().contains("4294967296") && e.to_string().contains("(0, 3)"));
         let e = TaError::ShapeMismatch { weight_cols: 3, input_rows: 4 };
         assert!(e.to_string().contains("inner dimension mismatch"));
     }
@@ -208,6 +209,11 @@ mod tests {
             (TaError::InputRange { act_bits: 8 }, "input_range"),
             (TaError::WeightRange { weight_bits: 4 }, "weight_range"),
             (TaError::SourceWidthMismatch { source: 4, accelerator: 8 }, "source_width_mismatch"),
+            (TaError::EmptyOperand { n: 4, k: 8, m: 0 }, "empty_operand"),
+            (
+                TaError::AccumulatorOverflow { row: 0, col: 0, value: 1 << 31 },
+                "accumulator_overflow",
+            ),
         ];
         for (err, tag) in cases {
             assert_eq!(err.kind(), tag);

@@ -6,39 +6,41 @@
 //! the hardware substrates (`ta-sim`) into:
 //!
 //! * [`TransArrayConfig`] — Table 1's design point (T=8, 256 TransRows,
-//!   6 units, 80 KB/unit buffers) with every knob the DSE sweeps;
-//! * [`process_dynamic`] / [`process_static`] — one unit processing one
-//!   sub-tile (Fig. 8), in dynamic- or static-Scoreboard mode;
-//! * [`TransitiveArray`] — the full accelerator: tiled layer simulation
-//!   with deterministic sampling for LLM-scale layers, DRAM traffic,
-//!   cycle and energy reports ([`GemmReport`]) — plus
-//!   [`TransitiveArray::execute_gemm`], the exact functional engine that
-//!   proves the architecture lossless against [`ta_quant::gemm_i32`];
-//! * [`runtime`] — the tile-execution runtime: a std-only scoped-thread
-//!   worker pool that shards the sub-tile grid across cores (the
-//!   `threads` knob of [`TransArrayConfig`]) with a bit-exact
-//!   determinism contract, and the [`Batch`] API that simulates many
-//!   layers concurrently;
-//! * [`Session`] / [`GemmRequest`] / [`GemmResponse`] — the validated
-//!   request–response front door ([`ConfigBuilder`] + [`TaError`])
-//!   behind which `ta-serve` runs a multi-tenant serving frontend.
+//!   6 units, 80 KB/unit buffers) with every knob the DSE sweeps, behind
+//!   the validating [`ConfigBuilder`];
+//! * [`Session`] / [`GemmRequest`] / [`GemmResponse`] — the one front
+//!   door: an *execute* request runs the exact functional engine that
+//!   proves the architecture lossless against [`ta_quant::gemm_i32`]; a
+//!   *simulate* request runs tiled layer simulation with deterministic
+//!   sampling for LLM-scale layers. Both return a [`GemmReport`] (cycles,
+//!   DRAM traffic, energy) or a typed [`TaError`], and `ta-serve` runs a
+//!   multi-tenant serving frontend behind them;
+//! * [`execute_subtile`] — one unit processing and
+//!   evaluating one sub-tile (Fig. 8) in dynamic- or static-Scoreboard
+//!   mode, with [`evaluate_subtile`] as its nested-`Vec` oracle;
+//! * [`runtime`] — the std-only scoped-thread worker pool behind the
+//!   `threads` knob, with a bit-exact determinism contract.
+//!
+//! Under the front door there is one engine path per Scoreboard mode: one
+//! plan provider per sub-tile (plan cache on or off) and one sharded
+//! walker per request (serial is the one-shard case).
 //!
 //! ## Quick example
 //!
 //! ```
-//! use ta_core::{TransArrayConfig, TransitiveArray};
+//! use ta_core::{GemmRequest, Session, TransArrayConfig};
 //! use ta_quant::{gemm_i32, MatI32};
 //!
 //! let cfg = TransArrayConfig {
 //!     width: 4, max_transrows: 16, weight_bits: 4, m_tile: 4,
 //!     sample_limit: 0, ..TransArrayConfig::paper_w8()
 //! };
-//! let ta = TransitiveArray::new(cfg);
+//! let session = Session::new(cfg).unwrap();
 //! let w = MatI32::from_rows(&[&[3, -5, 7, 1], &[-8, 2, 0, 6]]);
 //! let x = MatI32::from_rows(&[&[1, 2], &[3, 4], &[5, 6], &[7, 8]]);
-//! let (out, report) = ta.execute_gemm(&w, &x);
-//! assert_eq!(out, gemm_i32(&w, &x));          // lossless
-//! assert!(report.density < 1.0);              // and sparse
+//! let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+//! assert_eq!(resp.output.unwrap(), gemm_i32(&w, &x)); // lossless
+//! assert!(resp.report.density < 1.0);                 // and sparse
 //! ```
 
 #![warn(missing_docs)]
@@ -56,14 +58,11 @@ mod unit;
 pub use accelerator::{GemmReport, TransitiveArray};
 pub use config::{ConfigBuilder, ScoreboardMode, TransArrayConfig};
 pub use error::{ConfigError, TaError};
-pub use runtime::{Batch, BatchReport, Runtime};
+pub use runtime::Runtime;
 pub use session::{GemmRequest, GemmResponse, Session};
 pub use source::{PatternSource, SlicedSource};
 pub use tiling::{dram_traffic, GemmShape, TrafficReport};
-pub use unit::{
-    evaluate_subtile, evaluate_subtile_into, process_dynamic, process_static, process_subtile,
-    xbar_group_conflicts, SubtileReport,
-};
+pub use unit::{evaluate_subtile, execute_subtile, SubtileReport};
 
 #[cfg(test)]
 mod proptests {
@@ -76,6 +75,12 @@ mod proptests {
         let lo = -(1i32 << (bits - 1));
         proptest::collection::vec(lo..=hi, rows * cols)
             .prop_map(move |v| MatI32::from_vec(rows, cols, v))
+    }
+
+    fn run(cfg: TransArrayConfig, w: &MatI32, x: &MatI32) -> (MatI32, GemmReport) {
+        let resp = Session::new(cfg).unwrap().run(GemmRequest::execute(w.clone(), x.clone()));
+        let resp = resp.unwrap();
+        (resp.output.unwrap(), resp.report)
     }
 
     proptest! {
@@ -116,8 +121,7 @@ mod proptests {
                 },
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (out, rep) = ta.execute_gemm(&w, &x);
+            let (out, rep) = run(cfg, &w, &x);
             prop_assert_eq!(out, gemm_i32(&w, &x));
             prop_assert!(rep.density <= 1.0 + 1e-9);
         }
@@ -134,8 +138,7 @@ mod proptests {
                 units: 1, sample_limit: 0,
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (out, _) = ta.execute_gemm(&w, &x);
+            let (out, _) = run(cfg, &w, &x);
             prop_assert_eq!(out, gemm_i32(&w, &x));
         }
 
@@ -148,8 +151,7 @@ mod proptests {
                 units: 1, sample_limit: 0,
                 ..TransArrayConfig::paper_w8()
             };
-            let ta = TransitiveArray::new(cfg);
-            let (_, rep) = ta.execute_gemm(&w, &x);
+            let (_, rep) = run(cfg, &w, &x);
             prop_assert!(rep.density <= 1.0 + 1e-9, "density {}", rep.density);
             prop_assert!(rep.total_ops <= rep.dense_bit_ops);
         }

@@ -1,6 +1,8 @@
-//! The tile-execution runtime: a std-only scoped-thread worker pool that
-//! shards the sub-tile grid across host cores, plus the [`Batch`] API
-//! that simulates many layers concurrently.
+//! The tile-execution runtime: a std-only scoped-thread worker pool.
+//! Within one request the accelerator's sharded walker splits the
+//! sub-tile grid across host cores ([`Runtime::run_shards_with`]);
+//! across requests `Session::run_batch` hands whole requests to workers
+//! ([`Runtime::run_jobs`]).
 //!
 //! ## Determinism contract
 //!
@@ -24,13 +26,13 @@
 //! * sources are [`PatternSource::fork`]ed per worker and must return the
 //!   same patterns per index pair, which the trait already requires.
 //!
-//! When a source cannot fork, or the grid is too small to shard, the
-//! accelerator silently falls back to the serial loop — the report is
-//! identical either way.
+//! Serial execution is simply the one-shard case of the same walk. A
+//! source that cannot fork, or a grid too small to shard, also runs as
+//! one shard over the caller's own source — the report is identical
+//! either way.
+//!
+//! [`PatternSource::fork`]: crate::PatternSource::fork
 
-use crate::accelerator::{GemmReport, TransitiveArray};
-use crate::source::PatternSource;
-use crate::tiling::GemmShape;
 use std::ops::Range;
 
 /// A worker pool configuration for sharded tile execution.
@@ -99,17 +101,6 @@ impl Runtime {
                 .collect::<Vec<_>>()
         });
         merge_in_shard_order(parts)
-    }
-
-    /// Shards `0..total` across the pool and returns per-shard results in
-    /// shard order.
-    pub fn run_sharded<T: Send>(
-        &self,
-        total: usize,
-        f: impl Fn(usize, Range<usize>) -> T + Sync,
-    ) -> Vec<T> {
-        let shards = self.shards_for(total).into_iter().map(|r| (r, ())).collect();
-        self.run_shards_with(shards, |i, r, ()| f(i, r))
     }
 
     /// Runs independent owned jobs on the pool and returns the results
@@ -217,28 +208,6 @@ pub fn plan_cache_from_env() -> Result<Option<usize>, String> {
     }
 }
 
-/// Reads the `TA_PLAN_CACHE_SHARDS` override: `Ok(None)` when unset, the
-/// parsed plan-cache shard count otherwise (`0` = auto: ~4× cores).
-///
-/// # Errors
-///
-/// Returns a descriptive error for anything that is not a non-negative
-/// integer instead of silently defaulting.
-pub fn plan_cache_shards_from_env() -> Result<Option<usize>, String> {
-    match std::env::var("TA_PLAN_CACHE_SHARDS") {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("invalid TA_PLAN_CACHE_SHARDS: not valid unicode".to_string())
-        }
-        Ok(s) => s.trim().parse::<usize>().map(Some).map_err(|_| {
-            format!(
-                "invalid TA_PLAN_CACHE_SHARDS '{s}': expected a non-negative shard count \
-                 (0 = auto)"
-            )
-        }),
-    }
-}
-
 /// Splits `0..total` into at most `shards` contiguous near-equal ranges.
 /// Never returns an empty range; returns no ranges for `total == 0`.
 pub fn shard_ranges(total: usize, shards: usize) -> Vec<Range<usize>> {
@@ -267,122 +236,6 @@ pub fn shard_ranges(total: usize, shards: usize) -> Vec<Range<usize>> {
 pub fn merge_in_shard_order<T>(mut parts: Vec<(usize, T)>) -> Vec<T> {
     parts.sort_by_key(|(i, _)| *i);
     parts.into_iter().map(|(_, v)| v).collect()
-}
-
-/// A batch of layer simulations executed concurrently on the pool.
-///
-/// Jobs are independent `(shape, source)` pairs; [`Batch::run`] simulates
-/// each layer serially *within* one worker (no nested parallelism, so a
-/// batch never oversubscribes the pool) and returns reports in
-/// **submission order**, each identical to what a lone
-/// [`TransitiveArray::simulate_layer`] call would produce.
-///
-/// # Examples
-///
-/// ```
-/// use ta_core::{Batch, GemmShape, TransArrayConfig, TransitiveArray};
-/// use ta_core::{PatternSource, SlicedSource};
-/// use ta_bitslice::BitSlicedMatrix;
-/// use ta_quant::MatI32;
-///
-/// let ta = TransitiveArray::new(TransArrayConfig {
-///     sample_limit: 16,
-///     threads: 2,
-///     ..TransArrayConfig::paper_w8()
-/// });
-/// let w = MatI32::from_fn(64, 64, |r, c| ((r * 64 + c) as i32 % 15) - 7);
-/// let sliced = BitSlicedMatrix::slice(&w, 8);
-/// let mut batch = Batch::new(&ta);
-/// for m in [32, 64] {
-///     batch.push(
-///         GemmShape::new(64, 64, m),
-///         SlicedSource::new(&sliced, ta.config().n_tile(), 8),
-///     );
-/// }
-/// let report = batch.run();
-/// assert_eq!(report.reports.len(), 2);
-/// assert!(report.total_cycles > 0);
-/// ```
-pub struct Batch<'a> {
-    ta: &'a TransitiveArray,
-    runtime: Runtime,
-    jobs: Vec<(GemmShape, Box<dyn PatternSource + Send + 'a>)>,
-}
-
-impl<'a> Batch<'a> {
-    /// Creates a batch over `ta`, sized from its `threads` knob.
-    pub fn new(ta: &'a TransitiveArray) -> Self {
-        Self::with_runtime(ta, Runtime::new(ta.config().threads))
-    }
-
-    /// Creates a batch with an explicit runtime.
-    pub fn with_runtime(ta: &'a TransitiveArray, runtime: Runtime) -> Self {
-        Self { ta, runtime, jobs: Vec::new() }
-    }
-
-    /// Queues one layer simulation.
-    pub fn push(&mut self, shape: GemmShape, source: impl PatternSource + Send + 'a) {
-        self.jobs.push((shape, Box::new(source)));
-    }
-
-    /// Queued job count.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the batch has no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Simulates every queued layer concurrently and aggregates the
-    /// results in submission order.
-    pub fn run(self) -> BatchReport {
-        let Self { ta, runtime, jobs } = self;
-        let reports = runtime.run_jobs(jobs, |_, (shape, mut source)| {
-            ta.simulate_layer_with(shape, source.as_mut(), &Runtime::serial())
-        });
-        BatchReport::from_reports(reports)
-    }
-}
-
-/// Aggregate result of a [`Batch`] run. Totals are folded in submission
-/// order (the pinned-order contract for the `f64` fields).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReport {
-    /// Per-layer reports, in submission order.
-    pub reports: Vec<GemmReport>,
-    /// Sum of per-layer end-to-end cycles (layers run back-to-back).
-    pub total_cycles: u64,
-    /// Sum of per-layer MAC counts.
-    pub total_macs: u64,
-    /// Total energy (pJ), folded in submission order.
-    pub total_energy_pj: f64,
-    /// Total wall-clock seconds at the model frequency, folded in
-    /// submission order.
-    pub total_seconds: f64,
-}
-
-impl BatchReport {
-    /// Folds per-layer reports into batch totals (submission order).
-    pub fn from_reports(reports: Vec<GemmReport>) -> Self {
-        let mut total_cycles = 0u64;
-        let mut total_macs = 0u64;
-        let mut total_energy_pj = 0.0f64;
-        let mut total_seconds = 0.0f64;
-        for r in &reports {
-            total_cycles += r.cycles;
-            total_macs += r.shape.macs();
-            total_energy_pj += r.energy.total();
-            total_seconds += r.seconds;
-        }
-        Self { reports, total_cycles, total_macs, total_energy_pj, total_seconds }
-    }
-
-    /// Effective MACs per cycle across the batch.
-    pub fn macs_per_cycle(&self) -> f64 {
-        self.total_macs as f64 / self.total_cycles.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -479,10 +332,6 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TransArrayConfig;
-    use crate::source::SlicedSource;
-    use ta_bitslice::BitSlicedMatrix;
-    use ta_quant::MatI32;
 
     #[test]
     fn shard_ranges_partition_exactly() {
@@ -507,9 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_returns_shard_order() {
+    fn run_shards_with_returns_shard_order() {
         let rt = Runtime::new(4);
-        let out = rt.run_sharded(13, |i, r| (i, r.start, r.end));
+        let shards = rt.shards_for(13).into_iter().map(|r| (r, ())).collect();
+        let out = rt.run_shards_with(shards, |i, r, ()| (i, r.start, r.end));
         for (pos, (i, _, _)) in out.iter().enumerate() {
             assert_eq!(pos, *i);
         }
@@ -551,37 +401,5 @@ mod tests {
     fn zero_threads_resolves_to_cores() {
         assert_eq!(Runtime::new(0).threads(), available_cores());
         assert_eq!(Runtime::serial().threads(), 1);
-    }
-
-    #[test]
-    fn batch_matches_individual_simulations() {
-        let ta = TransitiveArray::new(TransArrayConfig {
-            sample_limit: 8,
-            threads: 4,
-            ..TransArrayConfig::paper_w8()
-        });
-        let w = MatI32::from_fn(96, 64, |r, c| ((r * 64 + c) as i32 % 15) - 7);
-        let sliced = BitSlicedMatrix::slice(&w, 8);
-        let shapes =
-            [GemmShape::new(96, 64, 32), GemmShape::new(96, 64, 64), GemmShape::new(96, 64, 16)];
-
-        let mut batch = Batch::new(&ta);
-        for &s in &shapes {
-            batch.push(s, SlicedSource::new(&sliced, ta.config().n_tile(), 8));
-        }
-        let got = batch.run();
-
-        let serial = TransitiveArray::new(TransArrayConfig {
-            sample_limit: 8,
-            threads: 1,
-            ..TransArrayConfig::paper_w8()
-        });
-        for (i, &s) in shapes.iter().enumerate() {
-            let mut src = SlicedSource::new(&sliced, serial.config().n_tile(), 8);
-            let want = serial.simulate_layer(s, &mut src);
-            assert_eq!(got.reports[i], want, "layer {i} must match serial");
-        }
-        assert_eq!(got.total_cycles, got.reports.iter().map(|r| r.cycles).sum::<u64>());
-        assert!(got.macs_per_cycle() > 0.0);
     }
 }

@@ -1,9 +1,8 @@
 //! The request–response front door: [`Session`], [`GemmRequest`],
 //! [`GemmResponse`].
 //!
-//! The historical API is a grab bag of entry points (`execute_gemm`,
-//! `simulate_layer`, `Batch`) with panicking validation. A `Session`
-//! wraps one accelerator behind a single validated surface:
+//! A `Session` is the only way to run work: it wraps one accelerator
+//! behind a single validated surface:
 //!
 //! * construction goes through [`TransArrayConfig::try_validate`] (or
 //!   the [`crate::ConfigBuilder`]) and returns `Result`, never panics;
@@ -15,7 +14,9 @@
 //!   streaming is available through the [`ResultSink`] trait.
 //!
 //! The serving frontend (`ta-serve`), the examples, and the benches all
-//! speak this API; the legacy entry points remain as thin delegates.
+//! speak this API. Under it there is one engine path per request kind:
+//! every `run_*` flavor differs only in the runtime it hands the engine
+//! (the `threads` knob, or one serial worker) and in its result sink.
 //!
 //! # Examples
 //!
@@ -87,8 +88,10 @@ impl GemmRequest {
     /// The GEMM shape this request covers.
     pub fn shape(&self) -> GemmShape {
         match &self.kind {
+            // A struct literal, not `GemmShape::new`: an empty operand
+            // must reach `Session::validate` as an error, not a panic.
             RequestKind::Execute { weights, input } => {
-                GemmShape::new(weights.rows(), weights.cols(), input.cols())
+                GemmShape { n: weights.rows(), k: weights.cols(), m: input.cols() }
             }
             RequestKind::Simulate { shape, .. } => *shape,
         }
@@ -129,16 +132,16 @@ pub struct GemmResponse {
     /// The exact output matrix — `Some` for execute requests, `None`
     /// for simulate requests.
     pub output: Option<MatI32>,
-    /// The performance report (always present, bit-identical to the
-    /// legacy entry points').
+    /// The performance report (always present, bit-identical across
+    /// every `run_*` flavor and thread count).
     pub report: GemmReport,
 }
 
 /// A validated handle on one accelerator: the request–response API.
 ///
-/// Clones share the accelerator's plan cache (same semantics as cloning
-/// [`TransitiveArray`]); a `Session` is `Send + Sync`, so a serving
-/// frontend shares one behind an `Arc` across workers.
+/// Clones share the accelerator's plan cache; a `Session` is
+/// `Send + Sync`, so a serving frontend shares one behind an `Arc`
+/// across workers.
 #[derive(Debug, Clone)]
 pub struct Session {
     ta: TransitiveArray,
@@ -155,19 +158,13 @@ impl Session {
         Ok(Self { ta: TransitiveArray::new(cfg) })
     }
 
-    /// Wraps an already-constructed accelerator (which validated its
-    /// configuration at construction).
-    pub fn from_accelerator(ta: TransitiveArray) -> Self {
-        Self { ta }
-    }
-
     /// The configuration this session runs.
     pub fn config(&self) -> &TransArrayConfig {
         self.ta.config()
     }
 
-    /// The underlying accelerator (legacy entry points, plan-cache
-    /// statistics).
+    /// The underlying accelerator (configuration and plan-cache
+    /// statistics; it runs no work of its own).
     pub fn accelerator(&self) -> &TransitiveArray {
         &self.ta
     }
@@ -176,13 +173,12 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`TaError::ShapeMismatch`] / [`TaError::WeightRange`] /
-    /// [`TaError::InputRange`] for invalid execute operands,
-    /// [`TaError::SourceWidthMismatch`] for a simulate source at the
-    /// wrong TransRow width.
+    /// Everything [`Self::validate`] rejects, plus
+    /// [`TaError::AccumulatorOverflow`] when an execute request's exact
+    /// result does not fit `i32`.
     pub fn run(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink))
+        self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink)
     }
 
     /// [`Self::run`] pinned to one worker: the whole request executes
@@ -196,7 +192,7 @@ impl Session {
     /// Same as [`Self::run`].
     pub fn run_serial(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::serial(), &mut NullSink))
+        self.run_validated(request, &Runtime::serial(), &mut NullSink)
     }
 
     /// [`Self::run_serial`] that streams every computed pattern result
@@ -212,35 +208,48 @@ impl Session {
         sink: &mut dyn ResultSink,
     ) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        Ok(self.run_validated(request, &Runtime::serial(), sink))
+        self.run_validated(request, &Runtime::serial(), sink)
     }
 
     /// Runs many requests concurrently on the session's worker pool and
     /// returns responses in submission order. Every request is validated
     /// *before* any executes (all-or-nothing); each request then runs
-    /// serially within one worker, exactly like [`crate::Batch`] pins
-    /// its jobs, so every response is bit-identical to a lone
-    /// [`Self::run_serial`] call.
+    /// serially within one worker (no nested parallelism, so a batch
+    /// never oversubscribes the pool), so every response is
+    /// bit-identical to a lone [`Self::run_serial`] call. Requests that
+    /// share the session share its plan cache.
     ///
     /// # Errors
     ///
-    /// The first invalid request's error; no work runs in that case.
+    /// The first invalid request's error, in which case no work runs;
+    /// otherwise the first request's run error in submission order.
     pub fn run_batch(&self, requests: Vec<GemmRequest>) -> Result<Vec<GemmResponse>, TaError> {
         for request in &requests {
             self.validate(request)?;
         }
         let rt = Runtime::new(self.config().threads);
-        Ok(rt.run_jobs(requests, |_, request| {
+        rt.run_jobs(requests, |_, request| {
             self.run_validated(request, &Runtime::serial(), &mut NullSink)
-        }))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Validates a request against the configuration without running it.
+    /// A request this accepts runs without panicking.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run`].
+    /// [`TaError::EmptyOperand`] when any GEMM dimension is zero,
+    /// [`TaError::ShapeMismatch`] / [`TaError::WeightRange`] /
+    /// [`TaError::InputRange`] for invalid execute operands,
+    /// [`TaError::SourceWidthMismatch`] for a simulate source at the
+    /// wrong TransRow width.
     pub fn validate(&self, request: &GemmRequest) -> Result<(), TaError> {
+        let GemmShape { n, k, m } = request.shape();
+        if n == 0 || k == 0 || m == 0 {
+            return Err(TaError::EmptyOperand { n, k, m });
+        }
         match &request.kind {
             RequestKind::Execute { weights, input } => self.ta.check_gemm_operands(weights, input),
             RequestKind::Simulate { source, .. } => {
@@ -259,17 +268,17 @@ impl Session {
         request: GemmRequest,
         rt: &Runtime,
         sink: &mut dyn ResultSink,
-    ) -> GemmResponse {
-        match request.kind {
+    ) -> Result<GemmResponse, TaError> {
+        Ok(match request.kind {
             RequestKind::Execute { weights, input } => {
-                let (output, report) = self.ta.execute_gemm_with(&weights, &input, rt, sink);
+                let (output, report) = self.ta.execute(&weights, &input, rt, sink)?;
                 GemmResponse { output: Some(output), report }
             }
             RequestKind::Simulate { shape, mut source } => {
-                let report = self.ta.simulate_layer_with(shape, source.as_mut(), rt);
+                let report = self.ta.simulate(shape, source.as_mut(), rt);
                 GemmResponse { output: None, report }
             }
-        }
+        })
     }
 }
 
@@ -312,15 +321,50 @@ mod tests {
     }
 
     #[test]
-    fn execute_request_matches_legacy_entry_point() {
+    fn execute_request_is_exact_and_unsampled() {
         let session = Session::new(small_cfg()).unwrap();
         let w = det_mat(10, 13, 4, 1);
         let x = det_mat(13, 7, 8, 2);
         let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
-        let (want_out, want_rep) = session.accelerator().execute_gemm(&w, &x);
-        assert_eq!(resp.output.as_ref().unwrap(), &want_out);
-        assert_eq!(resp.report, want_rep);
         assert_eq!(resp.output.unwrap(), gemm_i32(&w, &x));
+        assert_eq!(resp.report.subtiles_simulated, resp.report.subtiles_total);
+    }
+
+    #[test]
+    fn empty_operands_are_errors_not_panics() {
+        let session = Session::new(small_cfg()).unwrap();
+        let cases = [
+            (MatI32::zeros(4, 8), MatI32::zeros(8, 0), (4, 8, 0)),
+            (MatI32::zeros(0, 8), MatI32::zeros(8, 2), (0, 8, 2)),
+            (MatI32::zeros(4, 0), MatI32::zeros(0, 2), (4, 0, 2)),
+        ];
+        for (w, x, (n, k, m)) in cases {
+            let req = GemmRequest::execute(w, x);
+            assert_eq!(req.shape(), GemmShape { n, k, m });
+            let err = session.run(req).unwrap_err();
+            assert_eq!(err, TaError::EmptyOperand { n, k, m });
+            assert_eq!(err.kind(), "empty_operand");
+        }
+    }
+
+    #[test]
+    fn i32_overflow_is_an_error_not_a_panic() {
+        // 140,000 × (−128 · −128) = 2,293,760,000 > i32::MAX. A one-row
+        // sub-tile (max_transrows = weight_bits) keeps the run cheap.
+        let cfg = TransArrayConfig::builder().max_transrows(8).build().unwrap();
+        let session = Session::new(cfg).unwrap();
+        let k = 140_000;
+        let w = MatI32::from_fn(1, k, |_, _| -128);
+        let x = MatI32::from_fn(k, 1, |_, _| -128);
+        let err = session.run(GemmRequest::execute(w, x)).unwrap_err();
+        assert_eq!(err, TaError::AccumulatorOverflow { row: 0, col: 0, value: 2_293_760_000 });
+        assert_eq!(err.kind(), "accumulator_overflow");
+        // The exact check admits the largest result that still fits.
+        let k = 131_071; // 131,071 × 16,384 = 2,147,467,264 ≤ i32::MAX
+        let w = MatI32::from_fn(1, k, |_, _| -128);
+        let x = MatI32::from_fn(k, 1, |_, _| -128);
+        let out = session.run(GemmRequest::execute(w, x)).unwrap().output.unwrap();
+        assert_eq!(out.get(0, 0), 2_147_467_264);
     }
 
     #[test]
@@ -351,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_request_matches_simulate_layer() {
+    fn simulate_request_matches_engine_over_borrowed_source() {
         let session = Session::new(small_cfg()).unwrap();
         let w = det_mat(16, 16, 4, 7);
         let sliced = BitSlicedMatrix::slice(&w, 4);
@@ -365,7 +409,7 @@ mod tests {
             .unwrap();
         assert!(resp.output.is_none());
         let mut src = SlicedSource::new(&sliced, n_tile, 4);
-        let want = session.accelerator().simulate_layer(shape, &mut src);
+        let want = session.accelerator().simulate(shape, &mut src, &Runtime::serial());
         assert_eq!(resp.report, want);
     }
 

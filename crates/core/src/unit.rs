@@ -16,10 +16,9 @@ use crate::config::{ScoreboardMode, TransArrayConfig};
 use std::sync::Arc;
 use ta_bitslice::{bitonic_depth, TileView};
 use ta_hasse::{
-    CachedPlan, ExecScratch, ExecutionPlan, NullSink, PlanKey, ResultSink, Scoreboard,
-    SharedPlanCache, StaticSi, StaticTileReport, TileStats,
+    CachedPlan, ExecScratch, ExecutionPlan, PlanKey, ResultSink, Scoreboard, SharedPlanCache,
+    StaticSi, StaticTileReport, TileStats,
 };
-use ta_sim::Crossbar;
 
 /// Per-sub-tile performance report.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,79 +110,53 @@ fn static_report(
     }
 }
 
-/// Processes one sub-tile in **dynamic** mode: builds the private SI with
-/// the hardware Scoreboard and reports cycles.
-pub fn process_dynamic(cfg: &TransArrayConfig, patterns: &[u16]) -> (Scoreboard, SubtileReport) {
-    let sb = Scoreboard::build(cfg.scoreboard_config(), patterns.iter().copied());
-    let stats = Arc::new(TileStats::from_scoreboard(&sb));
-    let report = dynamic_report(cfg, patterns, stats);
-    (sb, report)
-}
-
-/// Processes one sub-tile in **static** mode: the shared SI was prefetched
-/// from DRAM; no Scoreboard stage runs, but chain materialization pays SI
-/// misses.
-pub fn process_static(cfg: &TransArrayConfig, si: &StaticSi, patterns: &[u16]) -> SubtileReport {
-    static_report(cfg, patterns, &si.evaluate_tile(patterns))
-}
-
-/// Processes a sub-tile in whichever mode the config selects, building
-/// the static SI lazily from the caller-provided table.
-pub fn process_subtile(
-    cfg: &TransArrayConfig,
-    static_si: Option<&StaticSi>,
-    patterns: &[u16],
-) -> SubtileReport {
-    match cfg.scoreboard_mode {
-        ScoreboardMode::Dynamic => process_dynamic(cfg, patterns).1,
-        ScoreboardMode::Static => {
-            let si = static_si.expect("static mode requires a prefetched SI");
-            process_static(cfg, si, patterns)
-        }
-    }
-}
-
 /// The canonical plan-cache key for one sub-tile under this accelerator
 /// configuration: the pattern multiset plus every Scoreboard knob, scoped
 /// to the static SI instance in static mode.
 fn plan_key(cfg: &TransArrayConfig, static_si: Option<&StaticSi>, patterns: &[u16]) -> PlanKey {
     let si_token = match cfg.scoreboard_mode {
         ScoreboardMode::Dynamic => None,
-        ScoreboardMode::Static => {
-            Some(static_si.expect("static mode requires a prefetched SI").instance_token())
-        }
+        ScoreboardMode::Static => Some(expect_si(static_si).instance_token()),
     };
     PlanKey::new(&cfg.scoreboard_config(), si_token, patterns)
 }
 
-/// Fetches the sub-tile's memoized plan, or builds and memoizes it. The
+fn expect_si(static_si: Option<&StaticSi>) -> &StaticSi {
+    static_si.expect("static mode requires a prefetched SI")
+}
+
+/// The one plan provider: returns the sub-tile's post-Scoreboard plan.
+/// With a cache it keys, probes, and on a miss builds and inserts; the
 /// (potentially expensive) Scoreboard construction runs outside the
-/// cache's lock; racing workers may build the same plan twice, which is
-/// harmless — the values are identical by construction. `with_plan`
-/// additionally materializes the dynamic op streams on a miss (pass it
+/// cache's lock, and racing workers may build the same plan twice, which
+/// is harmless — the values are identical by construction. Without a
+/// cache it only builds (no key is ever constructed). `with_plan`
+/// additionally materializes the dynamic op streams on a build (pass it
 /// from functional callers so one Scoreboard build serves both
 /// products); simulation-only callers leave them lazy.
-fn lookup_or_build_plan(
+fn subtile_plan(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
-    cache: &SharedPlanCache,
+    cache: Option<&SharedPlanCache>,
     with_plan: bool,
 ) -> Arc<CachedPlan> {
+    let build = || {
+        Arc::new(match cfg.scoreboard_mode {
+            ScoreboardMode::Dynamic => {
+                CachedPlan::build_dynamic(&cfg.scoreboard_config(), patterns, with_plan)
+            }
+            ScoreboardMode::Static => {
+                CachedPlan::Static { report: expect_si(static_si).evaluate_tile(patterns) }
+            }
+        })
+    };
+    let Some(cache) = cache else { return build() };
     let key = plan_key(cfg, static_si, patterns);
     if let Some(hit) = cache.get(&key) {
         return hit;
     }
-    let plan = match cfg.scoreboard_mode {
-        ScoreboardMode::Dynamic => {
-            CachedPlan::build_dynamic(&cfg.scoreboard_config(), patterns, with_plan)
-        }
-        ScoreboardMode::Static => {
-            let si = static_si.expect("static mode requires a prefetched SI");
-            CachedPlan::Static { report: si.evaluate_tile(patterns) }
-        }
-    };
-    let plan = Arc::new(plan);
+    let plan = build();
     cache.insert(key, Arc::clone(&plan));
     plan
 }
@@ -196,37 +169,35 @@ fn report_from_plan(cfg: &TransArrayConfig, patterns: &[u16], plan: &CachedPlan)
     }
 }
 
-/// [`process_subtile`] through the optional shared plan cache: with
-/// `cache = None` this is exactly the uncached path; with a cache, the
-/// report is bit-identical but the Scoreboard passes are skipped on a
-/// hit.
-pub(crate) fn process_subtile_cached(
+/// Processes one sub-tile in whichever mode the config selects and
+/// reports its cycles — the simulate loop's body. The report is
+/// bit-identical with and without `cache`; a hit only skips the
+/// Scoreboard passes.
+pub(crate) fn process_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
     cache: Option<&SharedPlanCache>,
 ) -> SubtileReport {
-    match cache {
-        None => process_subtile(cfg, static_si, patterns),
-        Some(cache) => report_from_plan(
-            cfg,
-            patterns,
-            &lookup_or_build_plan(cfg, static_si, patterns, cache, false),
-        ),
-    }
+    report_from_plan(cfg, patterns, &subtile_plan(cfg, static_si, patterns, cache, false))
 }
 
 /// Processes **and** functionally evaluates one sub-tile in a single
-/// pass — `execute_gemm`'s inner loop. One Scoreboard build (or, when a
-/// cache is provided, one plan lookup) serves both the performance
-/// report and the node results, and every add lands directly in
-/// `scratch`'s pattern-result slab: callers read
-/// [`ExecScratch::result`] per row (the fused replacement for the old
-/// per-row expansion), so the steady state of this function allocates
-/// nothing beyond what the plan lookup itself needs. Each computed
+/// pass — the execute path's inner loop. One plan (a lookup, or one
+/// Scoreboard build) serves both the performance report and the node
+/// results, and every add lands directly in `scratch`'s pattern-result
+/// slab: row `r`'s result is `scratch.result(patterns[r])` afterwards
+/// (zero rows have no slab entry — their result is all zeros by
+/// definition). Reusing one scratch across many sub-tiles allocates
+/// nothing beyond the plan itself once the arena is warm. Each computed
 /// pattern is additionally emitted into `sink` as its slab slice is
-/// finalized (pass [`NullSink`] when nothing streams — the common case).
-pub(crate) fn process_and_evaluate_subtile_into(
+/// finalized (pass [`ta_hasse::NullSink`] when nothing streams).
+///
+/// # Panics
+///
+/// Panics if `inputs.rows()` disagrees with the width, or static mode
+/// lacks an SI.
+pub fn execute_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
@@ -235,37 +206,22 @@ pub(crate) fn process_and_evaluate_subtile_into(
     scratch: &mut ExecScratch,
     sink: &mut dyn ResultSink,
 ) -> SubtileReport {
-    if let Some(cache) = cache {
-        let plan = lookup_or_build_plan(cfg, static_si, patterns, cache, true);
-        let report = report_from_plan(cfg, patterns, &plan);
-        match &*plan {
-            CachedPlan::Dynamic { .. } => plan
-                .dynamic_plan(&cfg.scoreboard_config(), patterns)
-                .evaluate_into(inputs, scratch, sink),
-            CachedPlan::Static { .. } => static_si
-                .expect("static mode requires a prefetched SI")
-                .evaluate_tile_functional_into(patterns, inputs, scratch, sink),
-        }
-        return report;
-    }
-    match cfg.scoreboard_mode {
-        ScoreboardMode::Dynamic => {
-            let (sb, report) = process_dynamic(cfg, patterns);
-            ExecutionPlan::from_scoreboard(&sb).evaluate_into(inputs, scratch, sink);
-            report
-        }
-        ScoreboardMode::Static => {
-            let si = static_si.expect("static mode requires a prefetched SI");
-            si.evaluate_tile_functional_into(patterns, inputs, scratch, sink);
-            process_static(cfg, si, patterns)
+    let plan = subtile_plan(cfg, static_si, patterns, cache, true);
+    match &*plan {
+        CachedPlan::Dynamic { .. } => plan
+            .dynamic_plan(&cfg.scoreboard_config(), patterns)
+            .evaluate_into(inputs, scratch, sink),
+        CachedPlan::Static { .. } => {
+            expect_si(static_si).evaluate_tile_functional_into(patterns, inputs, scratch, sink)
         }
     }
+    report_from_plan(cfg, patterns, &plan)
 }
 
 /// Expands per-pattern results into per-row results (zero rows yield zero
 /// vectors; duplicate rows share the computed vector). Compatibility path
 /// behind [`evaluate_subtile`]'s nested-`Vec` interface — the fused engine
-/// ([`evaluate_subtile_into`]) needs no expansion at all. Indexes the
+/// ([`execute_subtile`]) needs no expansion at all. Indexes the
 /// computed set via a sorted `O(|computed| log |computed|)` table rather
 /// than a dense `2^T` lookup, and clones one shared zero template per
 /// zero row instead of rebuilding it.
@@ -305,29 +261,6 @@ fn xbar_conflict_cycles(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
     occupancy.into_iter().max().unwrap_or(0)
 }
 
-/// Per-group crossbar conflict statistics (energy/introspection): cycles
-/// the un-smoothed dispatch would need, using the Hamming-sorted order.
-pub fn xbar_group_conflicts(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
-    let t = cfg.width as usize;
-    let mut xbar = Crossbar::new(cfg.width);
-    let mut order: Vec<(u32, usize)> =
-        patterns.iter().enumerate().map(|(i, &p)| (p.count_ones(), i)).collect();
-    order.sort_unstable();
-    let mut conflict = 0u64;
-    // One rows buffer reused across every dispatch group — the chunk loop
-    // itself allocates nothing.
-    let mut rows: Vec<u64> = Vec::with_capacity(t);
-    for group in order.chunks(t) {
-        rows.clear();
-        rows.extend(group.iter().filter(|(pc, _)| *pc > 0).map(|&(_, i)| i as u64));
-        if rows.is_empty() {
-            continue;
-        }
-        conflict += xbar.dispatch_rows(&rows);
-    }
-    conflict
-}
-
 /// Functional evaluation of one sub-tile: returns, for every binary row
 /// of the tile, its accumulated result vector (length `m`), honoring the
 /// configured Scoreboard mode. Zero rows yield zero vectors.
@@ -346,51 +279,18 @@ pub fn evaluate_subtile(
 ) -> Vec<Vec<i64>> {
     let computed: Vec<(u16, Vec<i64>)> = match cfg.scoreboard_mode {
         ScoreboardMode::Dynamic => {
-            let (sb, _) = process_dynamic(cfg, patterns);
+            let sb = Scoreboard::build(cfg.scoreboard_config(), patterns.iter().copied());
             ExecutionPlan::from_scoreboard(&sb).evaluate(inputs)
         }
-        ScoreboardMode::Static => {
-            let si = static_si.expect("static mode requires a prefetched SI");
-            si.evaluate_tile_functional(patterns, inputs)
-        }
+        ScoreboardMode::Static => expect_si(static_si).evaluate_tile_functional(patterns, inputs),
     };
     expand_rows(patterns, &computed, inputs.first().map_or(0, Vec::len))
-}
-
-/// Flat-buffer counterpart of [`evaluate_subtile`]: evaluates the
-/// sub-tile directly into `scratch`'s pattern-result slab. Row `r`'s
-/// result is `scratch.result(patterns[r])` afterwards (zero rows have no
-/// slab entry — their result is all zeros by definition). Reusing one
-/// scratch across many sub-tiles allocates nothing once the arena is
-/// warm; results are bit-identical to the oracle path.
-///
-/// # Panics
-///
-/// Panics if `inputs.rows()` disagrees with the width, or static mode
-/// lacks an SI.
-pub fn evaluate_subtile_into(
-    cfg: &TransArrayConfig,
-    static_si: Option<&StaticSi>,
-    patterns: &[u16],
-    inputs: TileView<'_>,
-    scratch: &mut ExecScratch,
-) {
-    match cfg.scoreboard_mode {
-        ScoreboardMode::Dynamic => {
-            let sb = Scoreboard::build(cfg.scoreboard_config(), patterns.iter().copied());
-            ExecutionPlan::from_scoreboard(&sb).evaluate_into(inputs, scratch, &mut NullSink);
-        }
-        ScoreboardMode::Static => {
-            let si = static_si.expect("static mode requires a prefetched SI");
-            si.evaluate_tile_functional_into(patterns, inputs, scratch, &mut NullSink);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ta_hasse::ScoreboardConfig;
+    use ta_hasse::{NullSink, ScoreboardConfig};
 
     fn cfg() -> TransArrayConfig {
         TransArrayConfig { width: 4, max_transrows: 8, weight_bits: 4, ..Default::default() }
@@ -400,7 +300,7 @@ mod tests {
     fn dynamic_report_consistent() {
         let c = cfg();
         let patterns = [0b1011u16, 0b1111, 0b0011, 0b0010];
-        let (_, rep) = process_dynamic(&c, &patterns);
+        let rep = process_subtile(&c, None, &patterns, None);
         assert_eq!(rep.rows, 4);
         assert_eq!(rep.total_ops, 4);
         assert_eq!(rep.dense_bit_ops, 16);
@@ -415,7 +315,7 @@ mod tests {
         let c = TransArrayConfig { scoreboard_mode: ScoreboardMode::Static, ..cfg() };
         let patterns = vec![0b1011u16, 0b1111, 0b0011, 0b0010];
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        let rep = process_static(&c, &si, &patterns);
+        let rep = process_subtile(&c, Some(&si), &patterns, None);
         assert_eq!(rep.scoreboard_cycles, 0);
         assert_eq!(rep.total_ops, 4);
         assert!(rep.stats.is_none());
@@ -466,9 +366,9 @@ mod tests {
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
         let cache = SharedPlanCache::new(8);
         for (c, si_opt) in [(&dyn_cfg, None), (&sta_cfg, Some(&si))] {
-            let fresh = process_subtile(c, si_opt, &patterns);
-            let miss = process_subtile_cached(c, si_opt, &patterns, Some(&cache));
-            let hit = process_subtile_cached(c, si_opt, &patterns, Some(&cache));
+            let fresh = process_subtile(c, si_opt, &patterns, None);
+            let miss = process_subtile(c, si_opt, &patterns, Some(&cache));
+            let hit = process_subtile(c, si_opt, &patterns, Some(&cache));
             assert_eq!(fresh, miss, "miss path must equal uncached");
             assert_eq!(fresh, hit, "hit path must equal uncached");
         }
@@ -484,8 +384,8 @@ mod tests {
         let cache = SharedPlanCache::new(4);
         let a = [1u16, 1, 0, 0, 0, 0, 0, 0];
         let b = [1u16, 0, 0, 0, 1, 0, 0, 0];
-        let ra = process_subtile_cached(&c, None, &a, Some(&cache));
-        let rb = process_subtile_cached(&c, None, &b, Some(&cache));
+        let ra = process_subtile(&c, None, &a, Some(&cache));
+        let rb = process_subtile(&c, None, &b, Some(&cache));
         assert_eq!(cache.stats().hits, 1, "permuted tile must hit");
         assert_eq!(ra.total_ops, rb.total_ops);
         assert_eq!(ra.xbar_cycles, 1, "rows 0,1 land in different banks");
@@ -518,10 +418,10 @@ mod tests {
         // reuse must never leak a previous sub-tile's results.
         let mut scratch = ExecScratch::new();
         for (c, si_opt) in [(&dyn_cfg, None), (&sta_cfg, Some(&si))] {
-            let want_rep = process_subtile(c, si_opt, &patterns);
+            let want_rep = process_subtile(c, si_opt, &patterns, None);
             let want_rows = evaluate_subtile(c, si_opt, &patterns, &inputs);
             for cache in [None, Some(SharedPlanCache::new(4))] {
-                let rep = process_and_evaluate_subtile_into(
+                let rep = execute_subtile(
                     c,
                     si_opt,
                     &patterns,
@@ -534,7 +434,7 @@ mod tests {
                 assert_scratch_rows(&scratch, &patterns, &want_rows);
                 if let Some(cache) = &cache {
                     // Warm lookup must also agree.
-                    let rep2 = process_and_evaluate_subtile_into(
+                    let rep2 = execute_subtile(
                         c,
                         si_opt,
                         &patterns,
@@ -552,45 +452,14 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_subtile_into_matches_oracle() {
-        let dyn_cfg = cfg();
-        let sta_cfg = TransArrayConfig { scoreboard_mode: ScoreboardMode::Static, ..cfg() };
-        let patterns = [0b1011u16, 0b1111, 0, 0b0011, 0b0010, 0b1011];
-        let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        let inputs: Vec<Vec<i64>> =
-            (0..4).map(|j| vec![6 - j as i64 * 3, j as i64 * j as i64]).collect();
-        let staged: Vec<i64> = inputs.iter().flat_map(|r| r.iter().copied()).collect();
-        let view = TileView::new(&staged, 4, 2, 2);
-        let mut scratch = ExecScratch::new();
-        for (c, si_opt) in [(&dyn_cfg, None), (&sta_cfg, Some(&si))] {
-            let want_rows = evaluate_subtile(c, si_opt, &patterns, &inputs);
-            evaluate_subtile_into(c, si_opt, &patterns, view, &mut scratch);
-            assert_scratch_rows(&scratch, &patterns, &want_rows);
-        }
-    }
-
-    #[test]
     fn xbar_sustained_limit_is_worst_bank() {
         let c = cfg();
         // 8 non-zero rows over 4 banks → 2 per bank → 2 cycles sustained.
         let patterns = [1u16, 1, 1, 1, 1, 1, 1, 1];
-        let (_, rep) = process_dynamic(&c, &patterns);
+        let rep = process_subtile(&c, None, &patterns, None);
         assert_eq!(rep.xbar_cycles, 2);
         // Zero rows don't occupy banks.
-        let (_, rep0) = process_dynamic(&c, &[0u16, 0, 0, 0, 7, 0, 0, 0]);
+        let rep0 = process_subtile(&c, None, &[0u16, 0, 0, 0, 7, 0, 0, 0], None);
         assert_eq!(rep0.xbar_cycles, 1);
-    }
-
-    #[test]
-    fn xbar_group_stats_exceed_sustained_bound() {
-        let c = cfg();
-        let patterns: Vec<u16> =
-            (0..64u32).map(|i| ((i.wrapping_mul(2654435761)) >> 16) as u16 & 0xF).collect();
-        let sustained = {
-            let (_, rep) = process_dynamic(&c, &patterns);
-            rep.xbar_cycles
-        };
-        let grouped = xbar_group_conflicts(&c, &patterns);
-        assert!(grouped >= sustained, "{grouped} vs {sustained}");
     }
 }

@@ -117,7 +117,7 @@ impl PlanKey {
 #[derive(Debug)]
 pub enum CachedPlan {
     /// Dynamic mode: the tile's statistics plus the per-lane op streams
-    /// (the functional evaluator `execute_gemm` replays).
+    /// (the functional evaluator of execute requests replays).
     Dynamic {
         /// ZR/TR/FR/PR statistics and cycle counts of the tile, shared
         /// so cache hits hand them out without deep-cloning the lane
@@ -392,7 +392,7 @@ impl PlanCache {
 }
 
 /// Thread-safe, **sharded** [`PlanCache`] the tile-execution runtime's
-/// workers (and `Batch` jobs) share.
+/// workers (and `Session::run_batch` requests) share.
 ///
 /// Keys are routed to a power-of-two number of shards by a deterministic
 /// hash of the canonical [`PlanKey`] (so every permutation of a multiset
@@ -800,7 +800,7 @@ mod tests {
 
     #[test]
     fn auto_sharding_preserves_min_per_shard_capacity() {
-        // `new` (the `plan_cache_shards = 0` path) must never hand out
+        // `new` (the automatic shard-count path) must never hand out
         // shards smaller than MIN_AUTO_SHARD_CAPACITY on any host shape:
         // an 8-entry cache gets one shard (the old single-table
         // behavior), never 8 direct-mapped slots.

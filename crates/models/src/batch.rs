@@ -1,60 +1,69 @@
 //! Whole-network batch simulation helpers: feed every GEMM of a model
-//! block to the tile-execution runtime's [`Batch`] API so layers run
-//! concurrently across the worker pool, with reports identical to
-//! simulating each layer alone (see `ta_core::runtime`'s determinism
-//! contract).
+//! block to [`Session::run_batch`] so layers run concurrently across the
+//! worker pool, with reports identical to simulating each layer alone
+//! (see `ta_core::runtime`'s determinism contract).
 //!
-//! When the accelerator's `plan_cache` knob is on, every job of a batch
-//! shares the accelerator's one plan cache: a pattern multiset planned
-//! for one layer is reused by every other layer (and by later batches on
-//! the same accelerator) — reports are bit-identical either way.
+//! When the session's `plan_cache` knob is on, every request of a batch
+//! shares the session's one plan cache: a pattern multiset planned for
+//! one layer is reused by every other layer (and by later batches on the
+//! same session) — reports are bit-identical either way.
 
 use crate::llama::{LlamaConfig, NamedGemm};
 use crate::synth::QuantGaussianSource;
-use ta_core::{Batch, BatchReport, TransitiveArray};
+use ta_core::{GemmReport, GemmRequest, Session, TaError};
 
-/// Simulates a list of named GEMM workloads concurrently on `ta`,
+/// Simulates a list of named GEMM workloads concurrently on `session`,
 /// drawing each layer's weight patterns from a [`QuantGaussianSource`]
 /// seeded per layer (the DESIGN.md §3 stand-in for real traces).
 /// Reports come back in workload order.
-pub fn simulate_gemms(ta: &TransitiveArray, layers: &[NamedGemm], seed: u64) -> BatchReport {
-    let cfg = ta.config();
-    let mut batch = Batch::new(ta);
-    for (i, layer) in layers.iter().enumerate() {
-        let layer_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        batch.push(
-            layer.shape,
-            QuantGaussianSource::new(cfg.width, cfg.weight_bits, cfg.n_tile(), layer_seed),
-        );
-    }
-    batch.run()
+///
+/// # Errors
+///
+/// The first layer [`Session::validate`] rejects (e.g. a zero dimension).
+pub fn simulate_gemms(
+    session: &Session,
+    layers: &[NamedGemm],
+    seed: u64,
+) -> Result<Vec<GemmReport>, TaError> {
+    let cfg = session.config();
+    let requests = layers
+        .iter()
+        .enumerate()
+        .map(|(i, layer)| {
+            let layer_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let source =
+                QuantGaussianSource::new(cfg.width, cfg.weight_bits, cfg.n_tile(), layer_seed);
+            GemmRequest::simulate(layer.shape, source)
+        })
+        .collect();
+    Ok(session.run_batch(requests)?.into_iter().map(|r| r.report).collect())
 }
 
 /// Simulates all seven FC GEMMs of one Transformer block (Q, K, V, O,
 /// Gate, Up, Down) of `model` at prefill length `seq` concurrently.
+///
+/// # Errors
+///
+/// Same as [`simulate_gemms`].
 pub fn simulate_llama_block(
-    ta: &TransitiveArray,
+    session: &Session,
     model: &LlamaConfig,
     seq: usize,
     seed: u64,
-) -> Vec<(NamedGemm, ta_core::GemmReport)> {
+) -> Result<Vec<(NamedGemm, GemmReport)>, TaError> {
     let layers = model.fc_layers(seq);
-    let report = simulate_gemms(ta, &layers, seed);
-    layers.into_iter().zip(report.reports).collect()
+    let reports = simulate_gemms(session, &layers, seed)?;
+    Ok(layers.into_iter().zip(reports).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::QuantGaussianSource;
-    use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+    use ta_core::{GemmShape, TransArrayConfig};
 
-    fn tiny_ta(threads: usize) -> TransitiveArray {
-        TransitiveArray::new(TransArrayConfig {
-            sample_limit: 12,
-            threads,
-            ..TransArrayConfig::paper_w8()
-        })
+    fn tiny_session(threads: usize) -> Session {
+        Session::new(TransArrayConfig { sample_limit: 12, threads, ..TransArrayConfig::paper_w8() })
+            .unwrap()
     }
 
     fn tiny_model() -> LlamaConfig {
@@ -72,43 +81,45 @@ mod tests {
 
     #[test]
     fn block_batch_matches_layerwise_serial_simulation() {
-        let parallel = tiny_ta(4);
-        let serial = tiny_ta(1);
-        let got = simulate_llama_block(&parallel, &tiny_model(), 32, 99);
+        let parallel = tiny_session(4);
+        let serial = tiny_session(1);
+        let got = simulate_llama_block(&parallel, &tiny_model(), 32, 99).unwrap();
         assert_eq!(got.len(), 7);
         for (i, (layer, report)) in got.iter().enumerate() {
             let cfg = serial.config();
             let layer_seed = 99 ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut src =
+            let src =
                 QuantGaussianSource::new(cfg.width, cfg.weight_bits, cfg.n_tile(), layer_seed);
-            let want = serial.simulate_layer(layer.shape, &mut src);
+            let want = serial.run(GemmRequest::simulate(layer.shape, src)).unwrap().report;
             assert_eq!(report, &want, "layer {} ({})", i, layer.name);
         }
     }
 
     #[test]
     fn batch_jobs_share_one_plan_cache() {
-        let cached = TransitiveArray::new(TransArrayConfig {
+        let cached = Session::new(TransArrayConfig {
             sample_limit: 12,
             threads: 2,
             plan_cache: 1024,
             ..TransArrayConfig::paper_w8()
-        });
-        let uncached = tiny_ta(1);
+        })
+        .unwrap();
+        let uncached = tiny_session(1);
         let model = tiny_model();
+        let stats = || cached.accelerator().plan_cache_stats().expect("cache enabled");
 
-        let first = simulate_llama_block(&cached, &model, 32, 123);
-        let after_first = cached.plan_cache_stats().expect("cache enabled");
+        let first = simulate_llama_block(&cached, &model, 32, 123).unwrap();
+        let after_first = stats();
         assert!(after_first.insertions > 0);
 
         // Replaying the identical block must hit across batch jobs (same
         // per-layer seeds → same pattern multisets) without adding a
         // single miss, and reports must match the uncached runs exactly.
-        let second = simulate_llama_block(&cached, &model, 32, 123);
-        let after_second = cached.plan_cache_stats().unwrap();
+        let second = simulate_llama_block(&cached, &model, 32, 123).unwrap();
+        let after_second = stats();
         assert!(after_second.hits > after_first.hits, "replayed block must hit");
         assert_eq!(after_second.misses, after_first.misses, "replayed block must not miss");
-        let want = simulate_llama_block(&uncached, &model, 32, 123);
+        let want = simulate_llama_block(&uncached, &model, 32, 123).unwrap();
         for (i, ((_, f), ((_, s), (_, w)))) in
             first.iter().zip(second.iter().zip(want.iter())).enumerate()
         {
@@ -118,17 +129,23 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_totals_cover_all_layers() {
-        let ta = tiny_ta(2);
+    fn batch_reports_cover_all_layers_in_order() {
         let layers = vec![
             NamedGemm::new("a", GemmShape::new(64, 64, 16)),
             NamedGemm::new("b", GemmShape::new(64, 128, 16)),
         ];
-        let report = simulate_gemms(&ta, &layers, 7);
-        assert_eq!(report.reports.len(), 2);
-        assert_eq!(report.total_cycles, report.reports.iter().map(|r| r.cycles).sum::<u64>());
-        assert_eq!(report.total_macs, 64 * 64 * 16 + 64 * 128 * 16);
-        assert!(report.total_energy_pj > 0.0);
-        assert!(report.total_seconds > 0.0);
+        let reports = simulate_gemms(&tiny_session(2), &layers, 7).unwrap();
+        assert_eq!(reports.len(), 2);
+        for (layer, report) in layers.iter().zip(&reports) {
+            assert_eq!(report.shape, layer.shape);
+            assert!(report.cycles > 0 && report.energy.total() > 0.0);
+        }
+    }
+
+    #[test]
+    fn empty_layer_is_an_error() {
+        let layers = [NamedGemm::new("empty", GemmShape { n: 64, k: 64, m: 0 })];
+        let err = simulate_gemms(&tiny_session(1), &layers, 7).unwrap_err();
+        assert_eq!(err, TaError::EmptyOperand { n: 64, k: 64, m: 0 });
     }
 }

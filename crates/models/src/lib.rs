@@ -44,18 +44,24 @@ pub use synth::{
 #[cfg(test)]
 mod integration {
     use super::*;
-    use ta_core::{GemmShape, PatternSource, TransArrayConfig, TransitiveArray};
+    use ta_core::{GemmReport, GemmRequest, GemmShape, PatternSource, Session, TransArrayConfig};
+
+    fn simulate(
+        cfg: TransArrayConfig,
+        shape: GemmShape,
+        src: impl PatternSource + Send + 'static,
+    ) -> GemmReport {
+        let session = Session::new(cfg).unwrap();
+        session.run(GemmRequest::simulate(shape, src)).unwrap().report
+    }
 
     #[test]
     fn simulate_small_llama_slice_with_synthetic_source() {
         // End-to-end smoke: a down-scaled q_proj simulated from the
         // Gaussian-quantized source.
         let cfg = TransArrayConfig { sample_limit: 64, ..TransArrayConfig::paper_w8() };
-        let ta = TransitiveArray::new(cfg);
-        let n_tile = ta.config().n_tile();
-        let mut src = QuantGaussianSource::new(8, 8, n_tile, 42);
-        let shape = GemmShape::new(256, 256, 128);
-        let rep = ta.simulate_layer(shape, &mut src);
+        let src = QuantGaussianSource::new(8, 8, cfg.n_tile(), 42);
+        let rep = simulate(cfg, GemmShape::new(256, 256, 128), src);
         assert!(rep.density > 0.10 && rep.density < 0.30, "density {}", rep.density);
         assert!(rep.cycles > 0);
     }
@@ -64,10 +70,8 @@ mod integration {
     fn uniform_source_density_matches_fig9_anchor() {
         // 8-bit TranSparsity on uniform bits at 256 rows → ≈12.6% density.
         let cfg = TransArrayConfig { sample_limit: 128, ..TransArrayConfig::paper_w8() };
-        let ta = TransitiveArray::new(cfg);
-        let mut src = UniformBitSource::new(8, 256, 7);
-        let shape = GemmShape::new(1024, 1024, 64);
-        let rep = ta.simulate_layer(shape, &mut src);
+        let src = UniformBitSource::new(8, 256, 7);
+        let rep = simulate(cfg, GemmShape::new(1024, 1024, 64), src);
         assert!((rep.density - 0.126).abs() < 0.012, "density {} vs Fig. 9's 12.57%", rep.density);
     }
 

@@ -205,6 +205,34 @@ mod tests {
     }
 
     #[test]
+    fn empty_operand_is_rejected_not_a_worker_loss() {
+        let server = server_with(1, BatchPolicy::default());
+        let request = GemmRequest::execute(MatI32::zeros(4, 8), MatI32::zeros(8, 0));
+        let err = server.submit(0, request).unwrap_err();
+        let want = TaError::EmptyOperand { n: 4, k: 8, m: 0 };
+        assert_eq!(err, ServeError::Rejected(RejectReason::Invalid(want)));
+        let stats = server.shutdown();
+        assert_eq!(stats.worker_lost + stats.respawned, 0);
+    }
+
+    #[test]
+    fn accumulator_overflow_is_rejected_not_a_worker_loss() {
+        // One-row sub-tiles keep the 140,000-deep GEMM cheap; its exact
+        // result, 140,000 × (−128 · −128), does not fit i32.
+        let cfg = TransArrayConfig::builder().max_transrows(8).build().unwrap();
+        let config = ServerConfig { workers: 1, ..Default::default() };
+        let server = Server::start(Session::new(cfg).unwrap(), config);
+        let k = 140_000;
+        let w = MatI32::from_fn(1, k, |_, _| -128);
+        let x = MatI32::from_fn(k, 1, |_, _| -128);
+        let err = server.submit(0, GemmRequest::execute(w, x)).unwrap().wait().unwrap_err();
+        let want = TaError::AccumulatorOverflow { row: 0, col: 0, value: 2_293_760_000 };
+        assert_eq!(err, ServeError::Rejected(RejectReason::Invalid(want)));
+        let stats = server.shutdown();
+        assert_eq!(stats.worker_lost + stats.respawned, 0);
+    }
+
+    #[test]
     fn shutdown_drains_all_in_flight_requests() {
         // The parking policy holds requests in the batcher; shutdown
         // must still flush and answer every ticket.

@@ -66,8 +66,10 @@ impl ServeResponse {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum RejectReason {
-    /// The request failed accelerator-side validation; it would fail
-    /// identically on a direct `Session` call.
+    /// The request failed accelerator-side validation at submit, or its
+    /// run failed with a typed error such as
+    /// [`TaError::AccumulatorOverflow`]; it would fail identically on a
+    /// direct `Session` call.
     Invalid(TaError),
     /// The tenant's admission-queue depth hit the
     /// [`crate::SloPolicy::max_queue_depth`] limit. Back off and retry;

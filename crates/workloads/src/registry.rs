@@ -4,7 +4,7 @@
 
 use crate::{contention, fig9, kernel, l7b, serve, zoo, Scale};
 use ta_bitslice::{conv_direct, flatten_weights, im2col};
-use ta_core::{GemmReport, GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmReport, GemmRequest, GemmResponse, GemmShape, Session, TransArrayConfig};
 use ta_models::simulate_gemms;
 use ta_quant::{gemm_i32, MatI32};
 
@@ -147,15 +147,29 @@ enum L7bMode {
     Exec,
 }
 
-struct L7bQproj(L7bMode);
-
-impl L7bQproj {
-    fn simulate(&self, cfg: TransArrayConfig) -> GemmReport {
-        let ta = TransitiveArray::new(cfg);
-        let mut src = l7b::pattern_source(ta.config().n_tile());
-        ta.simulate_layer(l7b::qproj_shape(), &mut src)
-    }
+/// Opens a session on a workload's (valid by construction) design point.
+fn session(cfg: TransArrayConfig) -> Session {
+    Session::new(cfg).expect("workload configs are valid")
 }
+
+/// Runs one of a workload's (valid by construction) requests.
+fn run(session: &Session, request: GemmRequest) -> GemmResponse {
+    session.run(request).expect("workload requests are valid")
+}
+
+/// Simulates the LLaMA-7B `q_proj` layer on `session`.
+fn simulate_qproj(session: &Session) -> GemmReport {
+    let source = l7b::pattern_source(session.config().n_tile());
+    run(session, GemmRequest::simulate(l7b::qproj_shape(), source)).report
+}
+
+/// Executes one GEMM on `session`, returning the output and report.
+fn execute(session: &Session, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
+    let resp = run(session, GemmRequest::execute(weights.clone(), input.clone()));
+    (resp.output.expect("execute responses carry the output"), resp.report)
+}
+
+struct L7bQproj(L7bMode);
 
 impl Workload for L7bQproj {
     fn name(&self) -> &'static str {
@@ -200,27 +214,29 @@ impl Workload for L7bQproj {
         let mut d = Digest::new();
         d.push_str(self.name());
         match self.0 {
-            L7bMode::Serial => d.push_report(&self.simulate(l7b::layer_config(scale, 1))),
-            L7bMode::Parallel => d.push_report(&self.simulate(l7b::layer_config(scale, threads))),
+            L7bMode::Serial => {
+                d.push_report(&simulate_qproj(&session(l7b::layer_config(scale, 1))))
+            }
+            L7bMode::Parallel => {
+                d.push_report(&simulate_qproj(&session(l7b::layer_config(scale, threads))))
+            }
             L7bMode::Cached => {
-                let ta = TransitiveArray::new(TransArrayConfig {
+                let s = session(TransArrayConfig {
                     plan_cache: l7b::DEFAULT_PLAN_CACHE_ENTRIES,
                     ..l7b::layer_config(scale, threads)
                 });
-                let n_tile = ta.config().n_tile();
-                let warm = ta.simulate_layer(l7b::qproj_shape(), &mut l7b::pattern_source(n_tile));
-                let before = ta.plan_cache_stats().expect("cached mode enables the plan cache");
-                let replay =
-                    ta.simulate_layer(l7b::qproj_shape(), &mut l7b::pattern_source(n_tile));
-                let hit_rate = ta.plan_cache_stats().unwrap().delta(&before).hit_rate();
+                let stats = || s.accelerator().plan_cache_stats().expect("cached mode caches");
+                let warm = simulate_qproj(&s);
+                let before = stats();
+                let replay = simulate_qproj(&s);
+                let hit_rate = stats().delta(&before).hit_rate();
                 assert_eq!(warm, replay, "warm plan-cached replay must stay bit-identical");
                 d.push_report(&replay);
                 d.push_f64(hit_rate);
             }
             L7bMode::Exec => {
                 let (w, x) = l7b::exec_operands(scale);
-                let ta = TransitiveArray::new(l7b::layer_config(scale, threads));
-                let (out, rep) = ta.execute_gemm(&w, &x);
+                let (out, rep) = execute(&session(l7b::layer_config(scale, threads)), &w, &x);
                 assert_eq!(out, gemm_i32(&w, &x), "functional engine must stay bit-exact");
                 d.push_mat(&out);
                 d.push_report(&rep);
@@ -429,10 +445,13 @@ impl Workload for PlanCacheContention {
 // Model-zoo entries
 // ---------------------------------------------------------------------------
 
+/// Digests a batch's per-layer reports, then its cycle and MAC totals.
 fn digest_batch(d: &mut Digest, reports: &[GemmReport]) {
     for rep in reports {
         d.push_report(rep);
     }
+    d.push_u64(reports.iter().map(|r| r.cycles).sum());
+    d.push_u64(reports.iter().map(|r| r.shape.macs()).sum());
 }
 
 struct LlamaBlockPrefill;
@@ -458,13 +477,12 @@ impl Workload for LlamaBlockPrefill {
         assert_eq!(zoo::prefill_layers(scale).len(), 7);
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
-        let ta = TransitiveArray::new(zoo::block_config(scale, threads));
-        let report = simulate_gemms(&ta, &zoo::prefill_layers(scale), zoo::PREFILL_SEED);
+        let s = session(zoo::block_config(scale, threads));
+        let reports = simulate_gemms(&s, &zoo::prefill_layers(scale), zoo::PREFILL_SEED)
+            .expect("zoo layers are valid");
         let mut d = Digest::new();
         d.push_str(self.name());
-        digest_batch(&mut d, &report.reports);
-        d.push_u64(report.total_cycles);
-        d.push_u64(report.total_macs);
+        digest_batch(&mut d, &reports);
         d.finish()
     }
 }
@@ -495,12 +513,12 @@ impl Workload for LlamaBlockDecode {
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
         let stream = zoo::DecodeStream::new(0xA77E, zoo::decode_steps(scale));
-        let ta = TransitiveArray::new(TransArrayConfig { threads, ..zoo::decode_config() });
+        let s = session(TransArrayConfig { threads, ..zoo::decode_config() });
         let mut d = Digest::new();
         d.push_str(self.name());
         for t in 0..stream.steps() {
             let (k, q) = stream.step_operands(t);
-            let (out, rep) = ta.execute_gemm(&k, &q);
+            let (out, rep) = execute(&s, &k, &q);
             assert_eq!(out, gemm_i32(&k, &q), "decode QK^T must stay bit-exact");
             d.push_mat(&out);
             d.push_report(&rep);
@@ -537,8 +555,8 @@ impl Workload for ResnetConvIm2col {
         let (weights, input) = zoo::resnet_operands(&shape, zoo::RESNET_SEED);
         let patches = im2col(&shape, &input);
         let wmat = flatten_weights(&shape, &weights);
-        let ta = TransitiveArray::new(TransArrayConfig { threads, ..zoo::resnet_config() });
-        let (out, rep) = ta.execute_gemm(&wmat, &patches);
+        let s = session(TransArrayConfig { threads, ..zoo::resnet_config() });
+        let (out, rep) = execute(&s, &wmat, &patches);
         assert_eq!(
             out,
             conv_direct(&shape, &weights, &input),
@@ -575,13 +593,12 @@ impl Workload for MoeExperts {
         assert!(zoo::moe_layers(scale).len() >= 8, "MoE means many small GEMMs");
     }
     fn oracle(&self, scale: Scale, threads: usize) -> u64 {
-        let ta = TransitiveArray::new(zoo::moe_config(scale, threads));
-        let report = simulate_gemms(&ta, &zoo::moe_layers(scale), zoo::MOE_SEED);
+        let s = session(zoo::moe_config(scale, threads));
+        let reports = simulate_gemms(&s, &zoo::moe_layers(scale), zoo::MOE_SEED)
+            .expect("zoo layers are valid");
         let mut d = Digest::new();
         d.push_str(self.name());
-        digest_batch(&mut d, &report.reports);
-        d.push_u64(report.total_cycles);
-        d.push_u64(report.total_macs);
+        digest_batch(&mut d, &reports);
         d.finish()
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::Scale;
 use ta_baselines::{sparse24, Baseline};
-use ta_core::{GemmShape, TransArrayConfig, TransitiveArray};
+use ta_core::{GemmRequest, GemmShape, Session, TransArrayConfig};
 use ta_models::{llm_activation_matrix, llm_weight_matrix};
 use ta_quant::{evaluate_method, table3_roster, MatF32, MatI32, QuantMethod};
 use ta_sim::EnergyModel;
@@ -104,13 +104,14 @@ pub fn grid(scale: Scale, reduced: bool) -> Vec<SweepPoint> {
         } else {
             TransArrayConfig { sample_limit: 0, ..TransArrayConfig::paper_w8() }
         };
-        let ta = TransitiveArray::new(cfg);
+        let session = Session::new(cfg).expect("paper design points are valid");
         for &density in densities {
             let (wp, structure) = prune(&w, density);
             let weight_density = sparse24::density(&wp);
             // The cycle columns depend on the pruned tensor, not the
             // quant method: execute once per cell, share across rows.
-            let (_, rep) = ta.execute_gemm(&to_int(&wp, wbits), &to_int(&a, abits));
+            let request = GemmRequest::execute(to_int(&wp, wbits), to_int(&a, abits));
+            let rep = session.run(request).expect("quantized operands fit the design point").report;
             let mut methods = sweep_methods();
             if reduced {
                 methods.truncate(4);

@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example resnet_conv`
 
 use transitive_array::bitslice::{conv_direct, flatten_weights, im2col};
-use transitive_array::core::TransitiveArray;
 use transitive_array::models::resnet18_layers;
-use transitive_array::workloads::{zoo, Scale};
+use transitive_array::prelude::*;
+use transitive_array::workloads::zoo;
 
-fn main() {
+fn main() -> Result<(), TaError> {
     // The zoo's conv entry at quick scale: a small conv in the spirit of
     // layer1 (3x3) so the exact functional path runs instantly.
     let shape = zoo::resnet_conv_shape(Scale::quick());
@@ -25,8 +25,9 @@ fn main() {
     // paper quantizes ResNet's interior layers).
     let patches = im2col(&shape, &input);
     let wmat = flatten_weights(&shape, &weights);
-    let ta = TransitiveArray::new(zoo::resnet_config());
-    let (out, report) = ta.execute_gemm(&wmat, &patches);
+    let session = Session::new(zoo::resnet_config())?;
+    let resp = session.run(GemmRequest::execute(wmat, patches))?;
+    let (out, report) = (resp.output.expect("execute responses carry the output"), resp.report);
 
     // The direct loop-nest convolution is the golden model.
     let reference = conv_direct(&shape, &weights, &input);
@@ -55,4 +56,5 @@ fn main() {
         );
     }
     println!("  …and 15 more (see `cargo run -p ta-bench --bin fig14`)");
+    Ok(())
 }

@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --release --example transformer_block`
 
-use transitive_array::core::{TransArrayConfig, TransitiveArray};
 use transitive_array::models::{LlamaConfig, PAPER_SEQ_LEN};
+use transitive_array::prelude::*;
 use transitive_array::sim::VpuModel;
 use transitive_array::workloads::sources::{block_attention_source, block_fc_source};
 
-fn main() {
+fn main() -> Result<(), TaError> {
     let model = LlamaConfig::l1_7b();
     let seq = PAPER_SEQ_LEN;
     println!(
@@ -23,13 +23,10 @@ fn main() {
     println!("{:<12} {:>22} {:>12} {:>10} {:>12}", "stage", "GEMM", "cycles", "ms", "energy(uJ)");
 
     // FC layers at W4A8 (the iso-accuracy QServe configuration).
-    let fc_ta = TransitiveArray::new(TransArrayConfig {
-        sample_limit: 512,
-        ..TransArrayConfig::paper_w4()
-    });
+    let fc = Session::new(TransArrayConfig::paper_w4().to_builder().sample_limit(512).build()?)?;
     for (i, layer) in model.fc_layers(seq).iter().enumerate() {
-        let mut src = block_fc_source(fc_ta.config().n_tile(), i);
-        let rep = fc_ta.simulate_layer(layer.shape, &mut src);
+        let src = block_fc_source(fc.config().n_tile(), i);
+        let rep = fc.run(GemmRequest::simulate(layer.shape, src))?.report;
         println!(
             "{:<12} {:>8}x{:>5}x{:>5} {:>12} {:>10.3} {:>12.1}",
             layer.name,
@@ -45,14 +42,11 @@ fn main() {
     }
 
     // Attention at W8A8 (K/V caches quantized on the fly).
-    let att_ta = TransitiveArray::new(TransArrayConfig {
-        sample_limit: 512,
-        ..TransArrayConfig::paper_w8()
-    });
+    let att = Session::new(TransArrayConfig::builder().sample_limit(512).build()?)?;
     let vpu = VpuModel::paper_default();
     for (i, (gemm, count)) in model.attention_gemms(seq).iter().enumerate() {
-        let mut src = block_attention_source(att_ta.config().n_tile(), i);
-        let rep = att_ta.simulate_layer(gemm.shape, &mut src);
+        let src = block_attention_source(att.config().n_tile(), i);
+        let rep = att.run(GemmRequest::simulate(gemm.shape, src))?.report;
         let cycles = rep.cycles * *count as u64;
         let energy = rep.energy.total() * *count as f64 / 1e6;
         println!(
@@ -91,4 +85,5 @@ fn main() {
         model.layers,
         model.layers as f64 * total_cycles as f64 / 500.0e6 * 1e3
     );
+    Ok(())
 }

@@ -3,12 +3,22 @@
 //! the same workloads.
 
 use transitive_array::baselines::{bit_sparsity_density, Baseline};
-use transitive_array::core::{GemmShape, PatternSource, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{
+    GemmReport, GemmRequest, GemmShape, PatternSource, Session, TransArrayConfig,
+};
 use transitive_array::models::{LlamaConfig, QuantGaussianSource, UniformBitSource, PAPER_SEQ_LEN};
 use transitive_array::sim::EnergyModel;
 
-fn ta(cfg: TransArrayConfig, sample: usize) -> TransitiveArray {
-    TransitiveArray::new(TransArrayConfig { sample_limit: sample, ..cfg })
+fn ta(cfg: TransArrayConfig, sample: usize) -> Session {
+    Session::new(TransArrayConfig { sample_limit: sample, ..cfg }).unwrap()
+}
+
+fn simulate(
+    accel: &Session,
+    shape: GemmShape,
+    src: impl PatternSource + Send + 'static,
+) -> GemmReport {
+    accel.run(GemmRequest::simulate(shape, src)).unwrap().report
 }
 
 #[test]
@@ -18,8 +28,8 @@ fn ta8_beats_every_baseline_on_llama_fc() {
     let shape = GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m);
 
     let accel = ta(TransArrayConfig::paper_w8(), 256);
-    let mut src = QuantGaussianSource::new(8, 8, accel.config().n_tile(), 3);
-    let ta_rep = accel.simulate_layer(shape, &mut src);
+    let src = QuantGaussianSource::new(8, 8, accel.config().n_tile(), 3);
+    let ta_rep = simulate(&accel, shape, src);
 
     for b in Baseline::roster() {
         // Iso-precision (8-bit weights; Tender shown at its 4-bit config
@@ -42,8 +52,8 @@ fn ta4_speedup_over_olive_in_paper_band() {
     let layer = LlamaConfig::l1_7b().fc_layers(PAPER_SEQ_LEN)[0];
     let shape = GemmShape::new(layer.shape.n, layer.shape.k, layer.shape.m);
     let accel = ta(TransArrayConfig::paper_w4(), 256);
-    let mut src = QuantGaussianSource::new(8, 4, accel.config().n_tile(), 5);
-    let ta_rep = accel.simulate_layer(shape, &mut src);
+    let src = QuantGaussianSource::new(8, 4, accel.config().n_tile(), 5);
+    let ta_rep = simulate(&accel, shape, src);
     let olive = Baseline::olive().simulate_gemm(shape, 8, 8, &em);
     let speedup = olive.cycles as f64 / ta_rep.cycles as f64;
     assert!((5.0..9.5).contains(&speedup), "TA-4bit vs Olive speedup {speedup} (paper: 7.46)");
@@ -53,8 +63,7 @@ fn ta4_speedup_over_olive_in_paper_band() {
 fn transitive_density_beats_bit_sparsity_by_about_4x() {
     // §5.5: 8× over dense and 4× over bit sparsity at 8-bit.
     let accel = ta(TransArrayConfig::paper_w8(), 128);
-    let mut src = UniformBitSource::new(8, 256, 17);
-    let rep = accel.simulate_layer(GemmShape::new(1024, 1024, 64), &mut src);
+    let rep = simulate(&accel, GemmShape::new(1024, 1024, 64), UniformBitSource::new(8, 256, 17));
     let mut src2 = UniformBitSource::new(8, 256, 17);
     let mut bit_density = 0.0;
     for t in 0..32 {

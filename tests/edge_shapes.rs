@@ -2,7 +2,7 @@
 //! dimensions don't divide the tile sizes — skinny K, tall N, single
 //! columns, and the paper's full 8-bit width on tiny matrices.
 
-use transitive_array::core::{ScoreboardMode, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{GemmReport, GemmRequest, ScoreboardMode, Session, TransArrayConfig};
 use transitive_array::models::StreamRng;
 use transitive_array::quant::{gemm_i32, MatI32};
 
@@ -12,6 +12,12 @@ fn gauss_mat(rows: usize, cols: usize, bits: u32, seed: u64) -> MatI32 {
     MatI32::from_fn(rows, cols, |_, _| {
         ((rng.next_gaussian() * qmax as f32 / 3.0).round() as i32).clamp(-qmax - 1, qmax)
     })
+}
+
+fn execute(cfg: TransArrayConfig, w: &MatI32, x: &MatI32) -> (MatI32, GemmReport) {
+    let session = Session::new(cfg).unwrap();
+    let resp = session.run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+    (resp.output.unwrap(), resp.report)
 }
 
 fn paper_cfg(weight_bits: u32, mode: ScoreboardMode) -> TransArrayConfig {
@@ -30,8 +36,7 @@ fn k_smaller_than_transrow_width() {
     // K = 3 < T = 8: every sub-tile is column-padded.
     let w = gauss_mat(5, 3, 8, 1);
     let x = gauss_mat(3, 4, 8, 2);
-    let ta = TransitiveArray::new(paper_cfg(8, ScoreboardMode::Dynamic));
-    let (out, _) = ta.execute_gemm(&w, &x);
+    let (out, _) = execute(paper_cfg(8, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
 }
 
@@ -40,8 +45,7 @@ fn n_smaller_than_weight_tile() {
     // N = 3 < n_tile = 32: row padding.
     let w = gauss_mat(3, 20, 8, 3);
     let x = gauss_mat(20, 5, 8, 4);
-    let ta = TransitiveArray::new(paper_cfg(8, ScoreboardMode::Dynamic));
-    let (out, _) = ta.execute_gemm(&w, &x);
+    let (out, _) = execute(paper_cfg(8, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
 }
 
@@ -50,8 +54,7 @@ fn single_column_gemv() {
     // M = 1 (decode-style GEMV).
     let w = gauss_mat(40, 24, 4, 5);
     let x = gauss_mat(24, 1, 8, 6);
-    let ta = TransitiveArray::new(paper_cfg(4, ScoreboardMode::Dynamic));
-    let (out, _) = ta.execute_gemm(&w, &x);
+    let (out, _) = execute(paper_cfg(4, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
 }
 
@@ -59,8 +62,7 @@ fn single_column_gemv() {
 fn one_by_one_matrix() {
     let w = MatI32::from_rows(&[&[-8]]);
     let x = MatI32::from_rows(&[&[127]]);
-    let ta = TransitiveArray::new(paper_cfg(4, ScoreboardMode::Dynamic));
-    let (out, _) = ta.execute_gemm(&w, &x);
+    let (out, _) = execute(paper_cfg(4, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out.get(0, 0), -8 * 127);
 }
 
@@ -69,8 +71,7 @@ fn full_width_static_mode_with_ragged_dims() {
     // Static SI at T=8 with dimensions that divide nothing.
     let w = gauss_mat(37, 53, 8, 7);
     let x = gauss_mat(53, 11, 8, 8);
-    let ta = TransitiveArray::new(paper_cfg(8, ScoreboardMode::Static));
-    let (out, rep) = ta.execute_gemm(&w, &x);
+    let (out, rep) = execute(paper_cfg(8, ScoreboardMode::Static), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
     assert!(rep.si_misses > 0 || rep.total_ops > 0);
 }
@@ -81,8 +82,7 @@ fn extreme_values_saturate_without_overflow() {
     // enough to stress the accumulators but not i32.
     let w = MatI32::from_fn(4, 64, |_, c| if c % 2 == 0 { -128 } else { 127 });
     let x = MatI32::from_fn(64, 3, |r, _| if r % 2 == 0 { 127 } else { -128 });
-    let ta = TransitiveArray::new(paper_cfg(8, ScoreboardMode::Dynamic));
-    let (out, _) = ta.execute_gemm(&w, &x);
+    let (out, _) = execute(paper_cfg(8, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
 }
 
@@ -96,8 +96,7 @@ fn all_same_pattern_tile_hits_the_density_floor() {
     let row: Vec<i32> = (0..32).map(|c| ((c * 7) % 255) - 127).collect();
     let w = MatI32::from_fn(32, 32, |_, c| row[c]);
     let x = gauss_mat(32, 8, 8, 9);
-    let ta = TransitiveArray::new(paper_cfg(8, ScoreboardMode::Dynamic));
-    let (out, rep) = ta.execute_gemm(&w, &x);
+    let (out, rep) = execute(paper_cfg(8, ScoreboardMode::Dynamic), &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
     assert!(
         (0.120..0.132).contains(&rep.density),

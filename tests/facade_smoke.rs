@@ -8,7 +8,7 @@
 
 use transitive_array::baselines::Baseline;
 use transitive_array::bitslice::BitSlicedMatrix;
-use transitive_array::core::{GemmShape, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{GemmRequest, GemmShape, Session, TransArrayConfig};
 use transitive_array::hasse::{Scoreboard, ScoreboardConfig};
 use transitive_array::models::resnet18_layers;
 use transitive_array::quant::{gemm_i32, MatI32};
@@ -51,9 +51,9 @@ fn every_subcrate_is_reachable_through_the_facade() {
         sample_limit: 0,
         ..TransArrayConfig::paper_w8()
     };
-    let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
-    assert_eq!(out, dense);
-    assert!(report.density <= 1.0 + 1e-9);
+    let resp = Session::new(cfg).unwrap().run(GemmRequest::execute(w, x)).unwrap();
+    assert_eq!(resp.output.unwrap(), dense);
+    assert!(resp.report.density <= 1.0 + 1e-9);
 
     // baselines: a named baseline simulates a small shape.
     let shape = GemmShape { n: 16, k: 16, m: 16 };

@@ -2,7 +2,9 @@
 //! bit-slice → Scoreboard → Transitive Array must be lossless at the
 //! integer level and match the FP32 reference within quantization error.
 
-use transitive_array::core::{GemmShape, ScoreboardMode, TransArrayConfig, TransitiveArray};
+use transitive_array::core::{
+    GemmReport, GemmRequest, GemmShape, PatternSource, ScoreboardMode, Session, TransArrayConfig,
+};
 use transitive_array::models::{
     llm_activation_matrix, llm_weight_matrix, QuantGaussianSource, StreamRng, UniformBitSource,
 };
@@ -10,6 +12,39 @@ use transitive_array::quant::{
     calibrate, dequantize, gemm_f32, gemm_i32, nmse, quantize, Granularity, MatF32, MatI32,
     QuantScheme,
 };
+
+fn session(cfg: TransArrayConfig) -> Session {
+    Session::new(cfg).unwrap()
+}
+
+fn execute(cfg: TransArrayConfig, w: &MatI32, x: &MatI32) -> (MatI32, GemmReport) {
+    let resp = session(cfg).run(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+    (resp.output.unwrap(), resp.report)
+}
+
+fn simulate(
+    session: &Session,
+    shape: GemmShape,
+    src: impl PatternSource + Send + 'static,
+) -> GemmReport {
+    session.run(GemmRequest::simulate(shape, src)).unwrap().report
+}
+
+/// A source that keeps the default `fork()` (`None`): the sharded walker
+/// must run it as one shard over the caller's own source.
+struct NonForking(QuantGaussianSource);
+
+impl PatternSource for NonForking {
+    fn width(&self) -> u32 {
+        self.0.width()
+    }
+    fn subtile_patterns(&mut self, n_tile: usize, k_chunk: usize) -> Vec<u16> {
+        self.0.subtile_patterns(n_tile, k_chunk)
+    }
+    fn rows_per_subtile(&self) -> usize {
+        self.0.rows_per_subtile()
+    }
+}
 
 fn small_cfg(weight_bits: u32, mode: ScoreboardMode) -> TransArrayConfig {
     TransArrayConfig {
@@ -41,8 +76,7 @@ fn fp32_to_accelerator_end_to_end() {
     let a_q = quantize(&a_f, &ap);
 
     // Integer losslessness on the accelerator.
-    let ta = TransitiveArray::new(small_cfg(8, ScoreboardMode::Dynamic));
-    let (out, report) = ta.execute_gemm(&w_q, &a_q);
+    let (out, report) = execute(small_cfg(8, ScoreboardMode::Dynamic), &w_q, &a_q);
     assert_eq!(out, gemm_i32(&w_q, &a_q), "accelerator must be bit-exact");
     assert!(report.density < 0.6, "density {}", report.density);
 
@@ -80,17 +114,15 @@ fn both_modes_agree_on_every_seed() {
         let x = MatI32::from_fn(20, 6, |_, _| {
             ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
         });
-        let dynamic = TransitiveArray::new(small_cfg(4, ScoreboardMode::Dynamic));
-        let static_ = TransitiveArray::new(small_cfg(4, ScoreboardMode::Static));
-        let (d, _) = dynamic.execute_gemm(&w, &x);
-        let (s, _) = static_.execute_gemm(&w, &x);
+        let (d, _) = execute(small_cfg(4, ScoreboardMode::Dynamic), &w, &x);
+        let (s, _) = execute(small_cfg(4, ScoreboardMode::Static), &w, &x);
         let reference = gemm_i32(&w, &x);
         assert_eq!(d, reference, "dynamic seed {seed}");
         assert_eq!(s, reference, "static seed {seed}");
     }
 }
 
-/// Determinism suite (tile-execution runtime contract): `execute_gemm`
+/// Determinism suite (tile-execution runtime contract): execute-request
 /// output **and** the full `GemmReport` — including the floating-point
 /// density/energy/seconds fields — must be bit-identical for
 /// `threads = 1, 2, 8` in both Scoreboard modes.
@@ -104,14 +136,11 @@ fn parallel_execute_gemm_bit_identical_across_thread_counts() {
         ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
     });
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let reference = {
-            let ta = TransitiveArray::new(small_cfg(4, mode));
-            ta.execute_gemm(&w, &x)
-        };
+        let reference = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(reference.0, gemm_i32(&w, &x), "{mode:?} serial must be lossless");
         for threads in [2usize, 8] {
             let cfg = TransArrayConfig { threads, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference.0, "{mode:?} threads={threads}: output must be bit-exact");
             assert_eq!(
                 report, reference.1,
@@ -122,8 +151,9 @@ fn parallel_execute_gemm_bit_identical_across_thread_counts() {
 }
 
 /// Same contract for at-scale simulation with sampling enabled: sharded
-/// `simulate_layer` must reproduce the serial report bit-for-bit across
-/// thread counts, modes, and synthetic sources.
+/// simulation must reproduce the serial report bit-for-bit across thread
+/// counts, modes, and synthetic sources — including a source that cannot
+/// fork, which runs as one shard over the caller's own source.
 #[test]
 fn parallel_simulate_layer_bit_identical_across_thread_counts() {
     let shape = GemmShape::new(512, 256, 128);
@@ -136,13 +166,18 @@ fn parallel_simulate_layer_bit_identical_across_thread_counts() {
                     scoreboard_mode: mode,
                     ..TransArrayConfig::paper_w8()
                 };
-                let ta = TransitiveArray::new(cfg);
-                let n_tile = ta.config().n_tile();
-                let mut quant = QuantGaussianSource::new(8, 8, n_tile, 7);
-                let quant_rep = ta.simulate_layer(shape, &mut quant);
-                let mut uniform = UniformBitSource::new(8, n_tile * 8, 7);
-                let uniform_rep = ta.simulate_layer(shape, &mut uniform);
-                (quant_rep, uniform_rep)
+                let s = session(cfg);
+                let n_tile = s.config().n_tile();
+                let quant = QuantGaussianSource::new(8, 8, n_tile, 7);
+                let quant_rep = simulate(&s, shape, quant);
+                let uniform_rep = simulate(&s, shape, UniformBitSource::new(8, n_tile * 8, 7));
+                let non_forking_rep = simulate(&s, shape, NonForking(quant));
+                assert_eq!(
+                    non_forking_rep, quant_rep,
+                    "{mode:?} sample_limit={sample_limit} threads={threads}: a non-forking \
+                     source must match its forking twin"
+                );
+                (quant_rep, uniform_rep, non_forking_rep)
             };
             let reference = run(1);
             for threads in [2usize, 8] {
@@ -159,7 +194,7 @@ fn parallel_simulate_layer_bit_identical_across_thread_counts() {
 /// Plan-cache determinism contract: enabling the memoized plan cache
 /// must leave every `GemmReport` — including the floating-point
 /// density/energy/seconds fields — bit-identical to the uncached run,
-/// across thread counts, Scoreboard modes, and both entry points, while
+/// across thread counts and Scoreboard modes, while
 /// actually hitting (a cache that never hits proves nothing).
 #[test]
 fn plan_cache_bit_identical_across_thread_counts() {
@@ -172,26 +207,21 @@ fn plan_cache_bit_identical_across_thread_counts() {
             scoreboard_mode: mode,
             ..TransArrayConfig::paper_w8()
         };
-        let reference = {
-            let ta = TransitiveArray::new(cfg_for(1, 0));
-            let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-            ta.simulate_layer(shape, &mut src)
+        let run = |s: &Session| {
+            simulate(s, shape, QuantGaussianSource::new(8, 8, s.config().n_tile(), 7))
         };
+        let reference = run(&session(cfg_for(1, 0)));
         for threads in [1usize, 2, 8] {
-            let ta = TransitiveArray::new(cfg_for(threads, 512));
-            let run = |ta: &TransitiveArray| {
-                let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-                ta.simulate_layer(shape, &mut src)
-            };
-            let cold = run(&ta);
-            let warm = run(&ta);
+            let s = session(cfg_for(threads, 512));
+            let cold = run(&s);
+            let warm = run(&s);
             assert_eq!(cold, reference, "{mode:?} threads={threads}: cold cached run differs");
             assert_eq!(warm, reference, "{mode:?} threads={threads}: warm cached run differs");
-            let stats = ta.plan_cache_stats().expect("cache enabled");
+            let stats = s.accelerator().plan_cache_stats().expect("cache enabled");
             assert!(stats.insertions > 0, "{mode:?} threads={threads}: cache unused: {stats:?}");
             if mode == ScoreboardMode::Dynamic {
                 // Static mode correctly misses across calls: each
-                // simulate_layer builds a fresh SI table and cached
+                // simulation builds a fresh SI table and cached
                 // entries are scoped to the SI instance that produced
                 // them. Dynamic plans carry no such scope, so the warm
                 // replay must reuse every one.
@@ -204,69 +234,8 @@ fn plan_cache_bit_identical_across_thread_counts() {
     }
 }
 
-/// Shard-count invariance: the sharded cache must be a pure concurrency
-/// optimization. `plan_cache_shards = 1` reproduces the old
-/// single-mutex layout, so comparing it against 8 shards and the auto
-/// default proves reports never depend on shard routing or on which
-/// shard a CLOCK eviction sweeps — across thread counts, Scoreboard
-/// modes, and both entry points.
-#[test]
-fn plan_cache_shard_count_never_changes_a_report() {
-    let shape = GemmShape::new(512, 256, 128);
-    let mut rng = StreamRng::new(8192);
-    let w =
-        MatI32::from_fn(40, 36, |_, _| ((rng.next_gaussian() * 3.0).round() as i32).clamp(-8, 7));
-    let x = MatI32::from_fn(36, 9, |_, _| {
-        ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
-    });
-    for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        // simulate_layer entry point, at-scale config.
-        let layer_run = |threads: usize, shards: usize| {
-            let cfg = TransArrayConfig {
-                sample_limit: 24,
-                threads,
-                plan_cache: 512,
-                plan_cache_shards: shards,
-                scoreboard_mode: mode,
-                ..TransArrayConfig::paper_w8()
-            };
-            let ta = TransitiveArray::new(cfg);
-            let mut src = QuantGaussianSource::new(8, 8, ta.config().n_tile(), 7);
-            ta.simulate_layer(shape, &mut src)
-        };
-        // execute_gemm entry point, small exact config. The tiny cache
-        // (8 entries) keeps the CLOCK sweep active during the run.
-        let gemm_run = |threads: usize, shards: usize| {
-            let cfg = TransArrayConfig {
-                threads,
-                plan_cache: 8,
-                plan_cache_shards: shards,
-                ..small_cfg(4, mode)
-            };
-            TransitiveArray::new(cfg).execute_gemm(&w, &x)
-        };
-        for threads in [1usize, 2, 8] {
-            let layer_ref = layer_run(threads, 1);
-            let gemm_ref = gemm_run(threads, 1);
-            assert_eq!(gemm_ref.0, gemm_i32(&w, &x), "{mode:?} threads={threads}: lossless");
-            for shards in [8usize, 0] {
-                assert_eq!(
-                    layer_run(threads, shards),
-                    layer_ref,
-                    "{mode:?} threads={threads} shards={shards}: simulate_layer report differs"
-                );
-                assert_eq!(
-                    gemm_run(threads, shards),
-                    gemm_ref,
-                    "{mode:?} threads={threads} shards={shards}: execute_gemm result differs"
-                );
-            }
-        }
-    }
-}
-
 /// The same contract for the exact functional engine: cached
-/// `execute_gemm` output and report equal the uncached serial run at
+/// execute output and report equal the uncached serial run at
 /// threads 1/2/8.
 #[test]
 fn plan_cache_execute_gemm_bit_identical_across_thread_counts() {
@@ -277,31 +246,32 @@ fn plan_cache_execute_gemm_bit_identical_across_thread_counts() {
         ((rng.next_gaussian() * 40.0).round() as i32).clamp(-128, 127)
     });
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let reference = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let reference = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(reference.0, gemm_i32(&w, &x), "{mode:?}: reference must be lossless");
         for threads in [1usize, 2, 8] {
             let cfg = TransArrayConfig { threads, plan_cache: 128, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference.0, "{mode:?} threads={threads}: cached output differs");
             assert_eq!(report, reference.1, "{mode:?} threads={threads}: cached report differs");
         }
     }
 }
 
-/// Fused-path contract: the arena-backed engine behind `execute_gemm`
-/// (`evaluate_subtile_into` over a reused, dirty `ExecScratch`) produces
-/// row results bit-identical to the nested-`Vec` oracle
-/// (`evaluate_subtile`) for random sub-tiles in both Scoreboard modes —
-/// and the end-to-end fused GEMM stays lossless and report-identical at
-/// threads 1/2/8 with the plan cache on and off.
+/// Fused-path contract: the arena-backed engine behind execute requests
+/// (`execute_subtile` over a reused, dirty
+/// `ExecScratch`) produces row results bit-identical to the nested-`Vec`
+/// oracle (`evaluate_subtile`) for random sub-tiles in both Scoreboard
+/// modes, with the plan cache off, cold and warm — and the end-to-end
+/// fused GEMM stays lossless and report-identical at threads 1/2/8 with
+/// the plan cache on and off.
 #[test]
 fn fused_engine_matches_oracle_and_stays_deterministic() {
     use ta_bitslice::TileView;
-    use ta_hasse::{ExecScratch, ScoreboardConfig, StaticSi};
-    use transitive_array::core::{evaluate_subtile, evaluate_subtile_into};
+    use ta_hasse::{ExecScratch, NullSink, ScoreboardConfig, SharedPlanCache, StaticSi};
+    use transitive_array::core::{evaluate_subtile, execute_subtile};
 
     // Per-sub-tile oracle equivalence with one scratch reused (dirty)
-    // across every tile, mode, and shape.
+    // across every tile, mode, and cache state.
     let mut scratch = ExecScratch::new();
     let mut rng = StreamRng::new(515);
     for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
@@ -315,18 +285,32 @@ fn fused_engine_matches_oracle_and_stays_deterministic() {
             let cfg = small_cfg(4, mode);
             let si_opt = (mode == ScoreboardMode::Static).then_some(&si);
             let want = evaluate_subtile(&cfg, si_opt, &patterns, &inputs);
-            evaluate_subtile_into(&cfg, si_opt, &patterns, view, &mut scratch);
-            for (r, (&p, want_row)) in patterns.iter().zip(&want).enumerate() {
-                if p == 0 {
-                    assert!(want_row.iter().all(|&v| v == 0), "{mode:?} row {r}");
-                } else {
-                    assert_eq!(
-                        scratch.result(p),
-                        Some(want_row.as_slice()),
-                        "{mode:?} m={m} row {r}"
-                    );
+            let cache = SharedPlanCache::new(16);
+            let mut reports = Vec::new();
+            for (state, cache) in [("off", None), ("cold", Some(&cache)), ("warm", Some(&cache))] {
+                reports.push(execute_subtile(
+                    &cfg,
+                    si_opt,
+                    &patterns,
+                    view,
+                    cache,
+                    &mut scratch,
+                    &mut NullSink,
+                ));
+                for (r, (&p, want_row)) in patterns.iter().zip(&want).enumerate() {
+                    if p == 0 {
+                        assert!(want_row.iter().all(|&v| v == 0), "{mode:?} row {r}");
+                    } else {
+                        assert_eq!(
+                            scratch.result(p),
+                            Some(want_row.as_slice()),
+                            "{mode:?} cache {state} m={m} row {r}"
+                        );
+                    }
                 }
             }
+            assert!(reports.iter().all(|r| *r == reports[0]), "{mode:?}: cache changed a report");
+            assert_eq!(cache.stats().hits, 1, "{mode:?}: the warm pass must hit");
         }
     }
 
@@ -336,12 +320,12 @@ fn fused_engine_matches_oracle_and_stays_deterministic() {
     let x = MatI32::from_fn(29, 11, |r, c| (((r * 11 + c) as i64 * 40503 % 255) - 127) as i32);
     let reference = gemm_i32(&w, &x);
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let serial = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let serial = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(serial.0, reference, "{mode:?}: fused serial engine must be lossless");
         for threads in [1usize, 2, 8] {
             for plan_cache in [0usize, 64] {
                 let cfg = TransArrayConfig { threads, plan_cache, ..small_cfg(4, mode) };
-                let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+                let (out, report) = execute(cfg, &w, &x);
                 assert_eq!(out, reference, "{mode:?} threads={threads} cache={plan_cache}");
                 assert_eq!(
                     report, serial.1,
@@ -369,11 +353,11 @@ fn word_parallel_kernels_keep_reports_bit_identical() {
     });
     let reference = gemm_i32(&w, &x);
     for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-        let serial = TransitiveArray::new(small_cfg(4, mode)).execute_gemm(&w, &x);
+        let serial = execute(small_cfg(4, mode), &w, &x);
         assert_eq!(serial.0, reference, "{mode:?}: kernel path must be lossless");
         for threads in [1usize, 2, 8] {
             let cfg = TransArrayConfig { threads, ..small_cfg(4, mode) };
-            let (out, report) = TransitiveArray::new(cfg).execute_gemm(&w, &x);
+            let (out, report) = execute(cfg, &w, &x);
             assert_eq!(out, reference, "{mode:?} threads={threads}: output must be bit-exact");
             assert_eq!(
                 report, serial.1,
@@ -401,8 +385,7 @@ fn eight_bit_weights_wide_activations() {
         sample_limit: 0,
         ..TransArrayConfig::paper_w8()
     };
-    let ta = TransitiveArray::new(cfg);
-    let (out, report) = ta.execute_gemm(&w, &x);
+    let (out, report) = execute(cfg, &w, &x);
     assert_eq!(out, gemm_i32(&w, &x));
     // 8-bit TranSparsity on Gaussian data sits well below bit sparsity.
     assert!(report.density < 0.40, "density {}", report.density);
