@@ -62,6 +62,6 @@ mod tests {
     // installing binary calls — asserting it false here would couple this
     // test to process-wide state other tests could legitimately change,
     // so the flag's effect is exercised end-to-end in `bench_smoke`
-    // (exec_allocs_per_subtile is measured there and `-1.0` everywhere
-    // else, asserted by the perf-suite test).
+    // (the exec_allocs_per_subtile row is measured there and absent
+    // everywhere else, asserted by the perf-suite test).
 }

@@ -1,11 +1,13 @@
 //! CI bench-smoke driver: runs the perf suite (serial + parallel +
 //! plan-cached tile execution on a full-scale LLaMA-7B layer, a Fig. 9
-//! design point, plus the exact functional-execution engine on a scaled
-//! `q_proj` GEMM), writes `BENCH_<sha>.json`, and fails on >20%
-//! regression against a committed baseline — or on a plan-cache hit
-//! rate that collapsed to zero (the cache must not silently disengage),
-//! or on a flat exec engine that allocates per sub-tile in steady state
-//! (this binary installs a counting global allocator to audit that).
+//! design point, the exact functional-execution engine on a scaled
+//! `q_proj` GEMM, the serving frontend and the word-parallel kernels),
+//! writes `BENCH_<sha>.json`, and gates every metric row against a
+//! committed baseline by its class (see `ta_bench::perf`) — and fails
+//! outright on a plan-cache hit rate that collapsed to zero (the cache
+//! must not silently disengage) or on a flat exec engine that allocates
+//! per sub-tile in steady state (this binary installs a counting global
+//! allocator to audit that).
 //!
 //! ```text
 //! bench_smoke [--smoke|--quick] [--list] [--only <workload>]...
@@ -24,8 +26,8 @@
 //! * plan cache: `TA_PLAN_CACHE` overrides the cached workload's
 //!   capacity (default 4096 entries; `0` is rejected — the suite gates
 //!   the cache, so it cannot run without one);
-//! * `TA_BENCH_INJECT_SLOWDOWN=<factor>` multiplies the measured wall
-//!   times — a self-test hook that lets CI (or a reviewer) confirm the
+//! * `TA_BENCH_INJECT_SLOWDOWN=<factor>` worsens every wall-clock row by
+//!   `factor` — a self-test hook that lets CI (or a developer) confirm the
 //!   gate actually trips; never set it in a real run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,6 +84,15 @@ fn resolve_sha() -> String {
         }
     }
     "local".to_string()
+}
+
+/// Integers print whole; everything else with six significant digits.
+fn fmt_value(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.5e}")
+    }
 }
 
 fn fail(msg: &str) -> ! {
@@ -192,91 +203,32 @@ fn main() {
     if let Some(filter) = only {
         println!("  running only: {}", filter.join(", "));
     }
-    let mut report = perf::run_suite_filtered(args.scale, threads, plan_cache, only);
+    let mut report = perf::run_suite(args.scale, threads, plan_cache, only);
     report.sha = resolve_sha();
 
-    // Gate self-test hook: scale the measured wall times so a reviewer
-    // can watch the gate trip without slowing the simulator down.
-    match std::env::var("TA_BENCH_INJECT_SLOWDOWN") {
-        Err(_) => {}
-        Ok(v) => match v.trim().parse::<f64>() {
+    // Gate self-test hook: worsen the wall rows so a developer can watch
+    // the gate trip without slowing the simulator down.
+    if let Ok(v) = std::env::var("TA_BENCH_INJECT_SLOWDOWN") {
+        match v.trim().parse::<f64>() {
             Ok(factor) if factor.is_finite() && factor > 0.0 => {
                 if args.write_baseline.is_some() {
                     fail("refusing --write-baseline while TA_BENCH_INJECT_SLOWDOWN is set: a self-test run must not become the baseline");
                 }
-                eprintln!("warning: TA_BENCH_INJECT_SLOWDOWN={factor} is scaling wall times — this run is a gate self-test, not a measurement");
-                for w in &mut report.workloads {
-                    w.wall_s *= factor;
-                    w.wall_norm *= factor;
-                }
-                report.speedup_parallel /= factor.max(f64::MIN_POSITIVE);
-                if let Some(serve) = &mut report.serve {
-                    serve.throughput_rps /= factor.max(f64::MIN_POSITIVE);
-                    serve.p50_latency_ns *= factor;
-                    serve.p99_latency_ns *= factor;
-                }
+                eprintln!("warning: TA_BENCH_INJECT_SLOWDOWN={factor} is worsening wall rows — this run is a gate self-test, not a measurement");
+                perf::inject_slowdown(&mut report.rows, factor);
             }
             _ => {
                 fail(&format!("invalid TA_BENCH_INJECT_SLOWDOWN '{v}': expected a positive number"))
             }
-        },
+        }
     }
 
-    for w in &report.workloads {
-        println!(
-            "  {:<24} cycles {:>14}  macs/cycle {:>10.1}  wall {:>9.4}s  norm {:>9.1}",
-            w.name, w.cycles, w.macs_per_cycle, w.wall_s, w.wall_norm
-        );
-    }
     println!(
-        "  serial/parallel speedup: {:.2}x at {} threads ({} cores)",
-        report.speedup_parallel, report.threads, report.host_cores
+        "  calibration {:.6}s  threads {}  host_cores {}",
+        report.calibration_wall_s, report.threads, report.host_cores
     );
-    println!(
-        "  plan cache: warm-replay hit rate {:.3}, cached-vs-uncached speedup {:.2}x",
-        report.plan_cache_hit_rate, report.speedup_cached
-    );
-    println!(
-        "  dram traffic: {} requests over {} bursts (64 B)",
-        report.dram_requests, report.dram_bursts
-    );
-    println!(
-        "  exec engine: {:.4} steady-state allocs/sub-tile (0 healthy)",
-        report.exec_allocs_per_subtile
-    );
-    for p in &report.contention {
-        println!(
-            "  plan-cache contention: {:>2} threads  {:>8} lookups  {:>8.1} ns/lookup  {:>8.2} Mlookups/s",
-            p.threads, p.lookups, p.ns_per_lookup, p.mlookups_per_s
-        );
-    }
-    if let Some(s) = &report.serve {
-        println!(
-            "  serving: {} requests / {} batches / {} padded on {} workers  {:>8.0} req/s  p50 {:.1} us  p99 {:.1} us",
-            s.requests,
-            s.batches,
-            s.padded,
-            s.workers,
-            s.throughput_rps,
-            s.p50_latency_ns / 1e3,
-            s.p99_latency_ns / 1e3
-        );
-    }
-    // Every overload counter is scripted on the virtual clock — no wall
-    // fields here, so TA_BENCH_INJECT_SLOWDOWN deliberately leaves it
-    // alone (only `serve_overload`'s PerfRecord wall columns scale).
-    if let Some(o) = &report.overload {
-        println!(
-            "  overload: {} submitted -> {} rejected / {} shed / {} lost / {} completed on {} workers ({} respawns)  goodput {:.3}",
-            o.submitted,
-            o.rejected,
-            o.shed,
-            o.worker_lost,
-            o.completed,
-            o.workers,
-            o.respawned,
-            o.goodput
-        );
+    for r in &report.rows {
+        println!("  {:<26} {:<24} {:>18}  {:?}", r.workload, r.metric, fmt_value(r.value), r.class);
     }
 
     // The run's own JSON is written first so a failing run still leaves
@@ -287,44 +239,31 @@ fn main() {
     }
     println!("[json] {output}");
 
-    // The plan cache silently disengaging is a hard failure regardless
-    // of any baseline: the cached workload ran with a capacity sized to
-    // hold the layer's sampled sub-tiles, so a warm replay that misses
-    // everything means the cache is broken, not cold. Checked *before*
-    // any baseline refresh — a broken-cache run must never become the
-    // baseline (a zero-hit-rate baseline would disable this gate's
-    // compare() arm forever).
-    let selected = |name: &str| match only {
-        None => true,
-        Some(filter) => filter.iter().any(|n| n == name),
-    };
-    if selected("l7b_qproj_cached") && report.plan_cache_hit_rate <= 0.0 {
-        eprintln!(
-            "gate FAILURE: plan-cache warm-replay hit rate collapsed to {} on l7b_qproj_cached",
-            report.plan_cache_hit_rate
-        );
-        std::process::exit(1);
+    // Baseline-independent health checks, run *before* any baseline
+    // refresh so a broken run never becomes the baseline:
+    // * the cached workload ran with a capacity sized to hold the layer's
+    //   sampled sub-tiles, so a warm replay that misses everything means
+    //   the plan cache is broken, not cold;
+    // * the flat execution engine must not allocate in steady state —
+    //   this binary installs the counting allocator, so the audit always
+    //   runs, and exactly 0 per sub-tile is the healthy value.
+    let selected = |name: &str| only.is_none_or(|filter| filter.iter().any(|n| n == name));
+    let mut broken = Vec::new();
+    let hit_rate = report.value("l7b_qproj_cached", "plan_cache_hit_rate").unwrap_or(0.0);
+    if selected("l7b_qproj_cached") && hit_rate <= 0.0 {
+        broken.push(format!("plan-cache warm-replay hit rate collapsed to {hit_rate}"));
     }
-
-    // The flat execution engine must not allocate in steady state — this
-    // binary installs the counting allocator, so the audit always runs,
-    // and any nonzero per-sub-tile rate is a design regression regardless
-    // of the baseline. (±0 exactly is the healthy value; the audit warms
-    // every buffer before measuring.)
-    if selected("l7b_qproj_exec") {
-        if report.exec_allocs_per_subtile < 0.0 {
-            eprintln!(
-                "gate FAILURE: exec allocation audit did not run despite the counting allocator"
-            );
-            std::process::exit(1);
-        }
-        if report.exec_allocs_per_subtile > 0.0 {
-            eprintln!(
-                "gate FAILURE: flat exec engine allocates {:.4} times per sub-tile in steady state (must be 0)",
-                report.exec_allocs_per_subtile
-            );
-            std::process::exit(1);
-        }
+    match report.value("l7b_qproj_exec", "exec_allocs_per_subtile") {
+        None if selected("l7b_qproj_exec") => broken
+            .push("exec allocation audit did not run despite the counting allocator".to_string()),
+        Some(allocs) if allocs > 0.0 => broken.push(format!(
+            "flat exec engine allocates {allocs:.4} times per sub-tile in steady state (must be 0)"
+        )),
+        _ => {}
+    }
+    if !broken.is_empty() {
+        broken.iter().for_each(|b| eprintln!("gate FAILURE: {b}"));
+        std::process::exit(1);
     }
 
     if let Some(path) = &args.write_baseline {
@@ -362,28 +301,24 @@ fn main() {
     for note in &outcome.notes {
         println!("note: {note}");
     }
-    // One-line honesty summary: which gates quietly disarmed themselves
-    // this run, and why (stale baseline schema, host shape, …).
+    println!("armed wall gates: {}", outcome.armed_wall.join(", "));
+    // One-line honesty summary: which rows the host shape disarmed.
     if let Some(summary) = perf::disabled_summary(&outcome) {
         println!("{summary}");
     }
     if outcome.passed() {
         println!(
-            "gate: PASS vs {} ({} workloads, {:.0}% tolerance)",
+            "gate: PASS vs {} ({} rows, {:.0}% tolerance, wall rows x{})",
             baseline_path,
-            baseline.workloads.len(),
-            GATE_TOLERANCE * 100.0
+            baseline.rows.len(),
+            GATE_TOLERANCE * 100.0,
+            perf::WALL_TOLERANCE_FACTOR
         );
     } else {
         for failure in &outcome.failures {
             eprintln!("gate FAILURE: {failure}");
         }
-        eprintln!(
-            "gate: FAIL vs {} — {} regression(s) past the {:.0}% tolerance",
-            baseline_path,
-            outcome.failures.len(),
-            GATE_TOLERANCE * 100.0
-        );
+        eprintln!("gate: FAIL vs {} — {} failing row(s)", baseline_path, outcome.failures.len());
         std::process::exit(1);
     }
 }

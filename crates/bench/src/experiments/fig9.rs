@@ -8,8 +8,8 @@ use crate::report::{fmt3, Table};
 use crate::scale::Scale;
 // The design point itself (sweep axes + Scoreboard aggregation) is a
 // workload definition and lives in `ta-workloads`; these re-exports
-// keep `crate::experiments::fig9::design_point` and the figure benches
-// resolving while this module owns only the table rendering.
+// keep `crate::experiments::fig9::design_point` resolving while this
+// module owns only the table rendering.
 pub use ta_workloads::fig9::{design_point, BIT_WIDTHS, ROW_SIZES};
 
 /// Runs all four panels.

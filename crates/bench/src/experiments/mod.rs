@@ -1,6 +1,6 @@
 //! One module per paper artifact — each exposes `run(Scale) -> Vec<Table>`
-//! so binaries, the `all` runner, integration tests, and the Criterion
-//! benches share the exact same code paths.
+//! so the `all` runner and the integration tests share the exact same
+//! code paths.
 
 pub mod ablation;
 pub mod fig10;

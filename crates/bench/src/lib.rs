@@ -1,12 +1,13 @@
 //! # ta-bench — the experiment harness
 //!
 //! Regenerates **every table and figure** of the paper's evaluation
-//! (§5). Each artifact has a binary (`cargo run -p ta-bench --release
-//! --bin fig9` …) and a library entry point under [`experiments`]; the
-//! `all` binary runs the complete battery and writes CSVs to
+//! (§5). Each artifact has a library entry point under [`experiments`]
+//! and a name for the `all` binary, which runs the complete battery —
+//! or only the named artifacts, in battery order (`cargo run -p ta-bench
+//! --release --bin all -- fig9 table2`) — and writes CSVs to
 //! `target/experiments/`.
 //!
-//! | Binary  | Paper artifact |
+//! | Name    | Paper artifact |
 //! |---------|----------------|
 //! | `table1`| Table 1 — TransArray unit spec |
 //! | `table2`| Table 2 — area comparison |
@@ -17,13 +18,13 @@
 //! | `fig12` | Fig. 12 — attention-layer speedups |
 //! | `fig13` | Fig. 13 — static vs dynamic Scoreboard |
 //! | `fig14` | Fig. 14 — ResNet-18 per-layer speedups |
+//! | `ablation` | Ablation studies |
 //!
-//! Set `TA_SCALE=quick` for smoke-scale runs.
+//! Pass `--smoke` or set `TA_SCALE=quick` for smoke-scale runs.
 //!
-//! The `bench_smoke` binary additionally runs the [`perf`] suite —
-//! serial vs parallel tile execution on a full-scale LLaMA-7B layer —
-//! writes a machine-readable `BENCH_<sha>.json`, and gates against the
-//! committed `BENCH_baseline.json` (>20% regressions fail CI).
+//! The `bench_smoke` binary additionally runs the [`perf`] suite, writes
+//! a machine-readable `BENCH_<sha>.json` of metric rows, and gates each
+//! row against the committed `BENCH_baseline.json` by its class.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,284 +1,168 @@
 //! Machine-readable performance records and the CI regression gate.
 //!
 //! The `bench_smoke` binary runs [`run_suite`] — a fixed workload roster
-//! (a Fig. 9 design point plus a full-scale LLaMA-7B `q_proj` layer
-//! simulated serially and in parallel) — and writes the result as
-//! `BENCH_<sha>.json`. CI compares that against the committed
-//! `BENCH_baseline.json` with [`compare`] and fails on >20% regressions.
+//! (a Fig. 9 design point, a full-scale LLaMA-7B `q_proj` layer simulated
+//! serially, in parallel and plan-cached, the exact execution engine, the
+//! serving frontend and the word-parallel kernels) — and writes the
+//! result as `BENCH_<sha>.json`. CI compares that against the committed
+//! `BENCH_baseline.json` with [`compare`].
 //!
-//! Two measurement choices keep the gate portable across machines:
+//! A report is a short header plus one flat list of [`MetricRow`]s
+//! `{workload, metric, value, better, class}`. Each row's [`GateClass`]
+//! is fixed by the suite, and it alone decides how [`compare`] gates the
+//! row:
 //!
-//! * **normalized wall time** (`wall_norm`): every workload's wall time
-//!   is divided by an in-process dense-GEMM calibration loop timed the
-//!   same way, so "this runner is 2× slower than the baseline machine"
-//!   cancels out while "this commit made the simulator 2× slower" does
-//!   not;
-//! * **model metrics** (`cycles`, `total_ops`, `density`,
-//!   `macs_per_cycle`) are deterministic simulator outputs — any drift
-//!   is a behavior change, not noise, and the serial/parallel pair is
-//!   additionally checked for bit-equality on every run.
+//! | Class | Gate |
+//! |---|---|
+//! | `Exact` | equal to the baseline (deterministic counters) |
+//! | `Model` | within [`GATE_TOLERANCE`] (deterministic model ratios) |
+//! | `SerialWall` | within `GATE_TOLERANCE ×` [`WALL_TOLERANCE_FACTOR`], on every host |
+//! | `ParallelWall` | as `SerialWall`, armed only when baseline and run saw the same `host_cores` ≥ 4 |
+//! | `Info` | recorded, never gated |
 //!
-//! The module splits three ways: `suite` measures (timing machinery
-//! and roster assembly — the workload *definitions* live in
-//! `ta-workloads`), `gate` compares runs against baselines, and
-//! `json` is the purpose-built micro-codec (serde is unavailable
-//! offline) that round-trips exactly the subset this module writes.
-//! This root file keeps only the record types and the shared constants.
+//! Wall rows named `wall_norm` are divided by an in-process dense-GEMM
+//! calibration loop timed the same way, so "this runner is 2× slower
+//! than the baseline machine" cancels out while "this commit made the
+//! simulator 2× slower" does not.
+//!
+//! `suite` measures (timing machinery and roster assembly — the workload
+//! *definitions* live in `ta-workloads`), `gate` compares runs against
+//! baselines, and `json` is the purpose-built micro-codec (serde is
+//! unavailable offline) for the schema-8 format.
 
 mod gate;
 mod json;
 mod suite;
 
-pub use gate::{compare, disabled_summary, GateOutcome};
+pub use gate::{compare, disabled_summary, inject_slowdown, GateOutcome, WALL_TOLERANCE_FACTOR};
 pub(crate) use json::json_str;
-pub use suite::{cached_replay, contention_workload, run_suite, run_suite_filtered};
+pub use suite::run_suite;
 
 /// Default plan-cache capacity for the cached LLaMA-7B workload (see
 /// [`ta_workloads::l7b`]).
 pub use ta_workloads::l7b::DEFAULT_PLAN_CACHE_ENTRIES;
 
-/// The full-scale LLaMA-7B `q_proj` GEMM (hidden 4096, prefill 2048).
-pub use ta_workloads::l7b::qproj_shape as l7b_qproj_shape;
-
-/// Thread counts the `plan_cache_contention` workload sweeps.
-pub use ta_workloads::contention::THREADS as CONTENTION_THREADS;
-
 /// Relative regression tolerance of the CI gate (>20% fails).
 pub const GATE_TOLERANCE: f64 = 0.20;
 
-/// One measured workload.
+/// The only report schema the codec reads and writes.
+pub const SCHEMA: u64 = 8;
+
+/// Which direction of a metric is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Smaller values are better (cycles, wall time, latency).
+    Lower,
+    /// Larger values are better (throughput, speedup, hit rate).
+    Higher,
+}
+
+/// How [`compare`] gates a row; see the module docs for the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateClass {
+    /// Deterministic counter: must equal the baseline.
+    Exact,
+    /// Deterministic model ratio: within [`GATE_TOLERANCE`].
+    Model,
+    /// Single-threaded wall metric, stable enough to gate on any host.
+    SerialWall,
+    /// Wall metric that depends on the host's shape (worker threads, or
+    /// an iteration too short to time reliably on a shared host).
+    ParallelWall,
+    /// Recorded, never gated.
+    Info,
+}
+
+impl GateClass {
+    /// Whether the row is a wall-clock metric.
+    pub fn is_wall(self) -> bool {
+        matches!(self, Self::SerialWall | Self::ParallelWall)
+    }
+}
+
+/// One measured value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerfRecord {
+pub struct MetricRow {
     /// Workload name (stable across runs; the gate joins on it).
-    pub name: String,
-    /// Modeled end-to-end cycles (0 for workloads without a cycle model).
-    pub cycles: u64,
-    /// Modeled accumulate ops (0 when not applicable).
-    pub total_ops: u64,
-    /// Transitive density (0 when not applicable).
-    pub density: f64,
-    /// Dense-equivalent MACs per modeled cycle (0 when not applicable).
-    pub macs_per_cycle: f64,
-    /// Host wall-clock seconds (best of the measurement repeats).
-    pub wall_s: f64,
-    /// `wall_s` normalized by the calibration loop (machine-portable).
-    pub wall_norm: f64,
+    pub workload: String,
+    /// Metric name within the workload.
+    pub metric: String,
+    /// The measured value.
+    pub value: f64,
+    /// Which direction is an improvement.
+    pub better: Better,
+    /// How the gate treats the row.
+    pub class: GateClass,
 }
 
-/// One point of the `plan_cache_contention` workload: `threads` workers
-/// hammering a pre-warmed sharded plan cache at a forced 1.0 hit rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContentionPoint {
-    /// Concurrent lookup threads.
-    pub threads: usize,
-    /// Total lookups across all threads (every one a hit, by
-    /// construction — the suite panics otherwise).
-    pub lookups: u64,
-    /// Wall seconds for all threads to complete.
-    pub wall_s: f64,
-    /// Mean lock-hold-plus-lookup latency per hit (nanoseconds of
-    /// aggregate thread time per lookup).
-    pub ns_per_lookup: f64,
-    /// Aggregate hit throughput (million lookups per wall second) — the
-    /// scaling metric the gate compares across thread counts.
-    pub mlookups_per_s: f64,
-}
+impl MetricRow {
+    /// Builds a row.
+    pub fn new(workload: &str, metric: &str, value: f64, better: Better, class: GateClass) -> Self {
+        Self { workload: workload.into(), metric: metric.into(), value, better, class }
+    }
 
-/// Stats from the `serve_open_loop` workload: the whole serving stack
-/// (admission queue → tenant round-robin → shape-bucketing batcher →
-/// continuous-batching worker pool) under a seeded open-loop Poisson
-/// trace. `requests` and `padded` are deterministic (the trace is
-/// seeded and padding depends only on each request's shape and the
-/// bucket quantum); `batches` depends on scheduler timing and is
-/// recorded but not gated; the throughput/latency figures are
-/// wall-clock metrics gated at the widened wall tolerance, same-shape
-/// hosts only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeStats {
-    /// Requests served (the gate requires an exact match).
-    pub requests: u64,
-    /// Batches dispatched to workers (informational — timing-dependent).
-    pub batches: u64,
-    /// Requests zero-padded to their bucket width (deterministic).
-    pub padded: u64,
-    /// Worker threads the workload ran with.
-    pub workers: usize,
-    /// Served requests per wall second (open-loop, best measured pass).
-    pub throughput_rps: f64,
-    /// Median submit-to-complete latency in nanoseconds.
-    pub p50_latency_ns: f64,
-    /// 99th-percentile submit-to-complete latency in nanoseconds.
-    pub p99_latency_ns: f64,
-}
-
-/// Stats from the `serve_overload` workload (schema 7): the serving
-/// stack under a scripted storm on the **virtual clock** — per-tenant
-/// queue depths blown by a frozen-clock storm trace (deterministic
-/// rejections), every admitted storm request shed by one clock jump
-/// past the latency budget (deterministic sheds), then recovery waves
-/// served under seeded worker-panic injection (deterministic worker
-/// losses and respawns). Every field is a pure function of the
-/// workload's constants, so the gate requires exact matches — drift in
-/// any of them is a behavior change in admission control, shedding,
-/// fault injection, or worker recovery.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadStats {
-    /// Submission attempts (storm trace + recovery waves).
-    pub submitted: u64,
-    /// Admissions refused at submit (per-tenant queue depth exceeded).
-    pub rejected: u64,
-    /// Admitted requests dropped at the batcher for a blown budget.
-    pub shed: u64,
-    /// Requests lost to an injected worker panic (typed `WorkerLost`).
-    pub worker_lost: u64,
-    /// Requests served to completion, bit-checked against direct runs.
-    pub completed: u64,
-    /// `completed / submitted` — the useful fraction under overload.
-    pub goodput: f64,
-    /// Worker threads the workload ran with.
-    pub workers: usize,
-    /// Workers respawned after injected panics.
-    pub respawned: u64,
+    /// `workload/metric`, the row's name in gate messages.
+    pub fn id(&self) -> String {
+        format!("{}/{}", self.workload, self.metric)
+    }
 }
 
 /// One full bench-smoke run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
-    /// JSON schema version.
-    pub schema: u64,
     /// Commit the run measured.
     pub sha: String,
     /// Scale name (`quick`/`full`) — baselines only compare at equal scale.
     pub scale: String,
     /// Resolved parallel worker count used by the `*_parallel` workloads.
     pub threads: usize,
-    /// Available host cores. The parallel-speedup and contention gates
-    /// self-disable (with a logged note) when baseline and current runs
-    /// saw different core counts — those metrics are machine-shape
-    /// facts, not portable ratios. Written as `host_cores` in schema-4
-    /// JSON (`cores` in older schemas; both parse).
+    /// Available host cores; `ParallelWall` rows gate only when the
+    /// baseline and the run agree on it and it is at least 4.
     pub host_cores: usize,
     /// Wall seconds of the dense-GEMM calibration loop.
     pub calibration_wall_s: f64,
-    /// Serial wall / parallel wall for the LLaMA-7B layer.
-    pub speedup_parallel: f64,
-    /// Plan-cache hit rate of a deterministic warm replay of the
-    /// LLaMA-7B layer (1.0 when every sub-tile plan is reused; a
-    /// collapse to 0 means the cache silently disengaged and is a hard
-    /// `bench_smoke` failure).
-    pub plan_cache_hit_rate: f64,
-    /// Uncached serial wall / plan-cached wall for the LLaMA-7B layer
-    /// (the cached-vs-uncached ratio; ≥1 when the cache wins).
-    pub speedup_cached: f64,
-    /// DRAM transfer requests of the LLaMA-7B layer's traffic (one per
-    /// weight/input/output stream under the shared tiling policy).
-    pub dram_requests: u64,
-    /// Burst beats those requests decompose into (64 B granularity).
-    pub dram_bursts: u64,
-    /// Steady-state heap allocations per sub-tile evaluation on the flat
-    /// execution engine (`evaluate_into` + fused row accumulation over a
-    /// warm `ExecScratch`). Healthy value: exactly `0.0`. `-1.0` marks
-    /// "unmeasured" — no counting global allocator was installed (the
-    /// `bench_smoke` binary installs one; library tests don't).
-    pub exec_allocs_per_subtile: f64,
-    /// Hit-path lock-contention sweep over the sharded plan cache
-    /// (threads 1/2/8/16 at forced hit rate 1.0). Empty on schema ≤ 3
-    /// baselines, which self-disables the contention gate.
-    pub contention: Vec<ContentionPoint>,
-    /// Serving-frontend stats from the `serve_open_loop` workload.
-    /// `None` on schema ≤ 4 baselines, which self-disables the serve
-    /// gate with a logged note.
-    pub serve: Option<ServeStats>,
-    /// Scripted-overload stats from the `serve_overload` workload.
-    /// `None` on schema ≤ 6 baselines, which self-disables the
-    /// overload gate with a logged note.
-    pub overload: Option<OverloadStats>,
-    /// Measured workloads.
-    pub workloads: Vec<PerfRecord>,
+    /// Every measured value, in roster order.
+    pub rows: Vec<MetricRow>,
+}
+
+impl PerfReport {
+    /// The row for `workload`/`metric`, if the run measured it.
+    pub fn row(&self, workload: &str, metric: &str) -> Option<&MetricRow> {
+        self.rows.iter().find(|r| r.workload == workload && r.metric == metric)
+    }
+
+    /// The value of `workload`/`metric`, if the run measured it.
+    pub fn value(&self, workload: &str, metric: &str) -> Option<f64> {
+        self.row(workload, metric).map(|r| r.value)
+    }
 }
 
 /// Shared report fixture of the gate and codec tests.
 #[cfg(test)]
 pub(crate) mod test_fixture {
-    use super::*;
+    use super::{Better::*, GateClass::*, *};
 
     pub(crate) fn sample_report() -> PerfReport {
+        let row = MetricRow::new;
         PerfReport {
-            schema: 7,
             sha: "abc123".into(),
             scale: "quick".into(),
             threads: 4,
             host_cores: 8,
             calibration_wall_s: 0.00125,
-            speedup_parallel: 2.5,
-            plan_cache_hit_rate: 1.0,
-            speedup_cached: 1.8,
-            dram_requests: 3,
-            dram_bursts: 544_768,
-            exec_allocs_per_subtile: 0.0,
-            contention: vec![
-                ContentionPoint {
-                    threads: 1,
-                    lookups: 20_000,
-                    wall_s: 0.002,
-                    ns_per_lookup: 100.0,
-                    mlookups_per_s: 10.0,
-                },
-                ContentionPoint {
-                    threads: 8,
-                    lookups: 160_000,
-                    wall_s: 0.004,
-                    ns_per_lookup: 200.0,
-                    mlookups_per_s: 40.0,
-                },
-            ],
-            serve: Some(ServeStats {
-                requests: 48,
-                batches: 12,
-                padded: 30,
-                workers: 2,
-                throughput_rps: 5_000.0,
-                p50_latency_ns: 120_000.0,
-                p99_latency_ns: 900_000.0,
-            }),
-            overload: Some(OverloadStats {
-                submitted: 64,
-                rejected: 4,
-                shed: 28,
-                worker_lost: 7,
-                completed: 25,
-                goodput: 25.0 / 64.0,
-                workers: 2,
-                respawned: 3,
-            }),
-            workloads: vec![
-                PerfRecord {
-                    name: "l7b_qproj_serial".into(),
-                    cycles: 123_456_789,
-                    total_ops: 42_000_000,
-                    density: 0.126,
-                    macs_per_cycle: 512.5,
-                    wall_s: 1.5,
-                    wall_norm: 1200.0,
-                },
-                PerfRecord {
-                    name: "fig9_dse_t8_r256".into(),
-                    cycles: 0,
-                    total_ops: 1000,
-                    density: 0.1257,
-                    macs_per_cycle: 0.0,
-                    wall_s: 0.002,
-                    wall_norm: 1.6,
-                },
-                PerfRecord {
-                    name: "kernel_micro_popcount".into(),
-                    cycles: 0,
-                    total_ops: 2_600_000,
-                    density: 0.0,
-                    macs_per_cycle: 0.0,
-                    wall_s: 0.001,
-                    wall_norm: 0.8,
-                },
+            rows: vec![
+                row("l7b_qproj_serial", "cycles", 123_456_789.0, Lower, Exact),
+                row("l7b_qproj_serial", "density", 0.126, Lower, Model),
+                row("l7b_qproj_serial", "macs_per_cycle", 512.5, Higher, Model),
+                row("l7b_qproj_serial", "wall_norm", 1200.0, Lower, SerialWall),
+                row("l7b_qproj_parallel", "wall_norm", 480.0, Lower, ParallelWall),
+                row("l7b_qproj_parallel", "speedup_parallel", 2.5, Higher, ParallelWall),
+                row("plan_cache_contention_t8", "lookups", 160_000.0, Lower, Exact),
+                row("plan_cache_contention_t8", "mlookups_per_s", 40.0, Higher, ParallelWall),
+                row("serve_open_loop", "batches", 12.0, Lower, Info),
+                row("serve_open_loop", "p99_latency_ns", 900_000.0, Lower, ParallelWall),
+                row("kernel_micro_popcount", "total_ops", 2_600_000.0, Lower, Exact),
+                row("kernel_micro_popcount", "wall_norm", 0.8, Lower, ParallelWall),
             ],
         }
     }

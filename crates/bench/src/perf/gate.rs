@@ -1,18 +1,36 @@
-//! The CI regression gate: compares a run against a baseline report and
-//! produces hard failures plus informational notes. Which metrics gate,
-//! at what tolerance, and when a gate self-disables (host-shape
-//! mismatch, stale baseline schema, small host, no counting allocator)
-//! is all decided here.
+//! The CI regression gate: one loop over the baseline's metric rows,
+//! where each row's [`GateClass`] decides the check.
 
-use crate::perf::{ContentionPoint, PerfReport};
+use crate::perf::{Better, GateClass, MetricRow, PerfReport};
+
+/// Extra slack for wall-clock rows: they gate at `tolerance ×
+/// WALL_TOLERANCE_FACTOR` (20% × 5 = double-or-worse fails). Shared CI
+/// hosts show minute-scale contention swings of 30–60% that survive
+/// even best-of-batches sampling and the start/end calibration min,
+/// while the regressions wall rows exist to catch (an allocator creeping
+/// back onto the execute path, an accidentally quadratic loop) cost
+/// 2–3× — past the widened gate. Deterministic rows keep the
+/// full-strength tolerance; they, not wall clocks, carry the gate's
+/// precision.
+pub const WALL_TOLERANCE_FACTOR: f64 = 5.0;
+
+/// `ParallelWall` rows arm only when baseline and run report the same
+/// `host_cores`, at least this many: a smaller host shows only threading
+/// overhead, and a different shape is a different measurement.
+const PARALLEL_MIN_CORES: usize = 4;
 
 /// Result of comparing a run against a baseline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GateOutcome {
     /// Hard failures (CI exits non-zero when non-empty).
     pub failures: Vec<String>,
-    /// Informational notes (improvements, skipped checks).
+    /// Informational notes (improvements, new rows, disarmed gates).
     pub notes: Vec<String>,
+    /// Wall rows (`workload/metric`) this comparison gated.
+    pub armed_wall: Vec<String>,
+    /// `ParallelWall` rows (`workload/metric`) left ungated because the
+    /// host shapes differ or are too small.
+    pub disarmed: Vec<String>,
 }
 
 impl GateOutcome {
@@ -22,73 +40,45 @@ impl GateOutcome {
     }
 }
 
-fn check_ratio(
-    out: &mut GateOutcome,
-    workload: &str,
-    metric: &str,
-    baseline: f64,
-    current: f64,
-    higher_is_worse: bool,
-    tolerance: f64,
-) {
-    if baseline <= 0.0 {
-        // The baseline marks this metric not-applicable for the workload
-        // (e.g. the Fig. 9 design point has no cycle model).
+/// Gates `current` against `baseline`'s value at relative `tolerance`:
+/// "worse" is past `1 + tolerance` in the bad direction, "better" past
+/// `1 / (1 + tolerance)` in the good one (reciprocal-symmetric, so the
+/// check still trips for higher-is-better rows once a widened tolerance
+/// reaches 100%).
+fn check_ratio(out: &mut GateOutcome, id: &str, base: f64, cur: f64, better: Better, tol: f64) {
+    if base <= 0.0 {
+        out.failures.push(format!(
+            "{id}: baseline value {base:e} cannot anchor a ratio gate — regenerate the baseline"
+        ));
         return;
     }
-    if current <= 0.0 {
-        // A metric the baseline measured cannot legitimately collapse to
-        // zero — that is a broken simulator, not an improvement.
-        out.failures
-            .push(format!("{workload}/{metric} collapsed to zero (baseline {baseline:.4e})"));
-        return;
-    }
-    let ratio = current / baseline;
-    // Thresholds are reciprocal-symmetric: "worse" is past 1+tolerance
-    // in the bad direction, "better" past 1/(1+tolerance) in the good
-    // one. (A subtractive `1 - tolerance` bound would stop working the
-    // moment a widened tolerance reaches 100% — the check could never
-    // trip for lower-is-worse metrics.)
-    let upper = 1.0 + tolerance;
-    let (regressed, improved) = if higher_is_worse {
-        (ratio > upper, ratio * upper < 1.0)
-    } else {
-        (ratio * upper < 1.0, ratio > upper)
+    let ratio = cur / base;
+    let upper = 1.0 + tol;
+    let (regressed, improved) = match better {
+        Better::Lower => (ratio > upper, ratio * upper < 1.0),
+        Better::Higher => (ratio * upper < 1.0, ratio > upper),
     };
     if regressed {
         out.failures.push(format!(
-            "{workload}/{metric} regressed {:.1}% past the {:.0}% gate ({baseline:.4e} -> {current:.4e})",
+            "{id} regressed {:.1}% past the {:.0}% gate ({base:.4e} -> {cur:.4e})",
             (ratio - 1.0).abs() * 100.0,
-            tolerance * 100.0,
+            tol * 100.0,
         ));
     } else if improved {
         out.notes.push(format!(
-            "{workload}/{metric} improved ({baseline:.4e} -> {current:.4e}) — consider refreshing the baseline"
+            "{id} improved ({base:.4e} -> {cur:.4e}) — consider refreshing the baseline"
         ));
     }
 }
 
-/// Extra slack for wall-clock metrics: `wall_norm` gates at
-/// `tolerance × WALL_TOLERANCE_FACTOR` (20% × 5 = double-or-worse
-/// fails). Shared CI hosts show minute-scale contention swings of
-/// 30–60% that survive even best-of-batches sampling and the start/end
-/// calibration min, while the regressions this arm exists to catch (an
-/// allocator creeping back onto the execute path, an accidentally
-/// quadratic loop) cost 2–3× — past the widened gate. Deterministic
-/// model metrics keep the full-strength tolerance; they, not wall
-/// clocks, carry the gate's precision.
-const WALL_TOLERANCE_FACTOR: f64 = 5.0;
-
-/// Compares `current` against `baseline` at `tolerance` (relative).
-///
-/// Deterministic model metrics (`cycles`, `total_ops`, `density`,
-/// `macs_per_cycle`) always gate hard. `wall_norm` gates only when the
-/// two runs saw the same core count — the calibration loop cancels
-/// clock-speed differences but not microarchitectural ones, so a
-/// baseline from a different machine shape would flake — and at the
-/// widened `WALL_TOLERANCE_FACTOR` (5×) tolerance. The parallel speedup
-/// additionally requires ≥4 cores on both sides (a 1-core runner cannot
-/// show a speedup, only overhead).
+/// Compares `current` against `baseline` at `tolerance` (relative), one
+/// baseline row at a time. A baseline row missing from the run, a row
+/// whose class or direction drifted, and a measured value that collapsed
+/// to zero all fail; a row new in the run is noted as ungated until the
+/// baseline is refreshed. Otherwise the row's class decides: `Exact`
+/// rows must be equal, `Model` rows gate at `tolerance`, wall rows at
+/// `tolerance ×` [`WALL_TOLERANCE_FACTOR`] (`ParallelWall` only on equal
+/// host shapes of at least 4 cores), and `Info` rows never gate.
 pub fn compare(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> GateOutcome {
     let mut out = GateOutcome::default();
     if baseline.scale != current.scale {
@@ -98,334 +88,81 @@ pub fn compare(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> G
         ));
         return out;
     }
-    for base in &baseline.workloads {
-        let Some(cur) = current.workloads.iter().find(|w| w.name == base.name) else {
-            out.failures.push(format!("workload '{}' missing from current run", base.name));
+    let parallel_armed =
+        baseline.host_cores == current.host_cores && baseline.host_cores >= PARALLEL_MIN_CORES;
+    let wall_tolerance = tolerance * WALL_TOLERANCE_FACTOR;
+    for base in &baseline.rows {
+        let id = base.id();
+        let Some(cur) = current.row(&base.workload, &base.metric) else {
+            out.failures.push(format!("{id} missing from the current run"));
             continue;
         };
-        check_ratio(
-            &mut out,
-            &base.name,
-            "cycles",
-            base.cycles as f64,
-            cur.cycles as f64,
-            true,
-            tolerance,
-        );
-        check_ratio(
-            &mut out,
-            &base.name,
-            "total_ops",
-            base.total_ops as f64,
-            cur.total_ops as f64,
-            true,
-            tolerance,
-        );
-        check_ratio(&mut out, &base.name, "density", base.density, cur.density, true, tolerance);
-        check_ratio(
-            &mut out,
-            &base.name,
-            "macs_per_cycle",
-            base.macs_per_cycle,
-            cur.macs_per_cycle,
-            false,
-            tolerance,
-        );
-        if baseline.host_cores == current.host_cores {
-            check_ratio(
-                &mut out,
-                &base.name,
-                "wall_norm",
-                base.wall_norm,
-                cur.wall_norm,
-                true,
-                tolerance * WALL_TOLERANCE_FACTOR,
-            );
-        }
-    }
-    if baseline.host_cores != current.host_cores {
-        out.notes.push(format!(
-            "wall_norm gate skipped (baseline host_cores {}, current host_cores {}; refresh the baseline from a machine of the runner's shape to arm it)",
-            baseline.host_cores, current.host_cores
-        ));
-    }
-    // The per-workload loop above joins on baseline names, so a schema
-    // ≤ 5 baseline (no `kernel_micro_*` records) silently ignores the
-    // current run's kernel microbenchmarks — make the self-disable
-    // explicit so the CI log says why the new arm is dark.
-    let has_kernel_micro =
-        |r: &PerfReport| r.workloads.iter().any(|w| w.name.starts_with("kernel_micro_"));
-    if !has_kernel_micro(baseline) && has_kernel_micro(current) {
-        out.notes.push(
-            "kernel_micro gate skipped (baseline predates the kernel_micro workloads; refresh it)"
-                .to_string(),
-        );
-    }
-    // Deterministic by construction (warm-replay counter deltas), so it
-    // gates on every run: a drop past tolerance — and in particular a
-    // collapse to zero — means the plan cache disengaged or thrashes.
-    if baseline.plan_cache_hit_rate > 0.0 {
-        check_ratio(
-            &mut out,
-            "l7b_qproj_cached",
-            "plan_cache_hit_rate",
-            baseline.plan_cache_hit_rate,
-            current.plan_cache_hit_rate,
-            false,
-            tolerance,
-        );
-    } else {
-        out.notes.push(
-            "plan_cache_hit_rate gate skipped (baseline predates the plan cache; refresh it)"
-                .to_string(),
-        );
-    }
-    // Allocation-count gate (absolute, not ratio — the healthy value is
-    // exactly zero): a run that starts allocating per sub-tile on the
-    // steady-state exec path regressed the arena design, whatever the
-    // wall clock says. Unmeasured runs/baselines (-1.0 sentinel,
-    // schema ≤ 2 or no counting allocator) self-disable the check.
-    if baseline.exec_allocs_per_subtile >= 0.0 {
-        if current.exec_allocs_per_subtile < 0.0 {
-            out.notes.push(
-                "exec_allocs_per_subtile gate skipped (current run has no counting allocator)"
-                    .to_string(),
-            );
-        } else if current.exec_allocs_per_subtile > baseline.exec_allocs_per_subtile + 0.5 {
+        if (cur.class, cur.better) != (base.class, base.better) {
             out.failures.push(format!(
-                "exec_allocs_per_subtile regressed: {} -> {} (steady-state exec must not allocate)",
-                baseline.exec_allocs_per_subtile, current.exec_allocs_per_subtile
+                "{id} is {:?}/{:?} in this run but {:?}/{:?} in the baseline — regenerate the baseline",
+                cur.class, cur.better, base.class, base.better
+            ));
+            continue;
+        }
+        if base.class != GateClass::Info && base.value != 0.0 && cur.value == 0.0 {
+            out.failures.push(format!("{id} collapsed to zero (baseline {:.4e})", base.value));
+            continue;
+        }
+        let tol = match base.class {
+            GateClass::Info => continue,
+            GateClass::Exact => {
+                if cur.value != base.value {
+                    out.failures
+                        .push(format!("{id} changed: {} -> {} (exact row)", base.value, cur.value));
+                }
+                continue;
+            }
+            GateClass::Model => tolerance,
+            GateClass::ParallelWall if !parallel_armed => {
+                out.disarmed.push(id);
+                continue;
+            }
+            GateClass::SerialWall | GateClass::ParallelWall => {
+                out.armed_wall.push(id.clone());
+                wall_tolerance
+            }
+        };
+        check_ratio(&mut out, &id, base.value, cur.value, base.better, tol);
+    }
+    for cur in &current.rows {
+        if baseline.row(&cur.workload, &cur.metric).is_none() {
+            out.notes.push(format!(
+                "{} is new in this run and ungated until the baseline is refreshed",
+                cur.id()
             ));
         }
-    } else {
-        out.notes.push(
-            "exec_allocs_per_subtile gate skipped (baseline predates the allocation audit; refresh it)"
-                .to_string(),
-        );
     }
-    // Parallel speedup is a machine-shape fact: it only gates when the
-    // two runs saw the *same* core count (never silently comparing
-    // across shapes) and the shape is big enough to show a speedup.
-    if baseline.host_cores != current.host_cores {
+    if !out.disarmed.is_empty() {
         out.notes.push(format!(
-            "speedup gate skipped (host core count changed: baseline {}, current {} — parallel speedups are not comparable across machine shapes)",
+            "ParallelWall rows disarmed: baseline host_cores {}, current host_cores {} (they gate only on equal shapes of >= {PARALLEL_MIN_CORES} cores)",
             baseline.host_cores, current.host_cores
         ));
-    } else if baseline.host_cores < 4 {
-        out.notes.push(format!(
-            "speedup gate skipped (baseline cores {}, current cores {}; needs >= 4 on both)",
-            baseline.host_cores, current.host_cores
-        ));
-    } else {
-        check_ratio(
-            &mut out,
-            "l7b_qproj",
-            "speedup_parallel",
-            baseline.speedup_parallel,
-            current.speedup_parallel,
-            false,
-            tolerance,
-        );
-    }
-    // Hit-path contention gate: per-thread-count throughput plus the
-    // max-threads/1-thread scaling ratio, both at the widened wall
-    // tolerance (they are wall-clock metrics). Same self-disable rules
-    // as the speedup gate — core-count mismatch or a small host logs an
-    // explicit note instead of silently comparing 1-core numbers.
-    if baseline.contention.is_empty() {
-        out.notes.push(
-            "contention gate skipped (baseline predates the plan_cache_contention workload; refresh it)"
-                .to_string(),
-        );
-    } else if current.contention.is_empty() {
-        out.failures.push("plan_cache_contention workload missing from current run".to_string());
-    } else if baseline.host_cores != current.host_cores {
-        out.notes.push(format!(
-            "contention gate skipped (host core count changed: baseline {}, current {} — hit-path scaling is not comparable across machine shapes)",
-            baseline.host_cores, current.host_cores
-        ));
-    } else if baseline.host_cores < 4 {
-        out.notes.push(format!(
-            "contention gate skipped ({}-core host cannot demonstrate hit-path scaling; needs >= 4 cores)",
-            baseline.host_cores
-        ));
-    } else {
-        for base_pt in &baseline.contention {
-            let Some(cur_pt) = current.contention.iter().find(|p| p.threads == base_pt.threads)
-            else {
-                out.failures.push(format!(
-                    "plan_cache_contention point for {} threads missing from current run",
-                    base_pt.threads
-                ));
-                continue;
-            };
-            check_ratio(
-                &mut out,
-                &format!("plan_cache_contention_t{}", base_pt.threads),
-                "mlookups_per_s",
-                base_pt.mlookups_per_s,
-                cur_pt.mlookups_per_s,
-                false,
-                tolerance * WALL_TOLERANCE_FACTOR,
-            );
-        }
-        let scaling = |pts: &[ContentionPoint]| -> Option<f64> {
-            let t1 = pts.iter().find(|p| p.threads == 1)?;
-            let tmax = pts.iter().max_by_key(|p| p.threads)?;
-            (t1.mlookups_per_s > 0.0 && tmax.threads > 1)
-                .then(|| tmax.mlookups_per_s / t1.mlookups_per_s)
-        };
-        if let (Some(base_scaling), Some(cur_scaling)) =
-            (scaling(&baseline.contention), scaling(&current.contention))
-        {
-            check_ratio(
-                &mut out,
-                "plan_cache_contention",
-                "hit_path_scaling",
-                base_scaling,
-                cur_scaling,
-                false,
-                tolerance * WALL_TOLERANCE_FACTOR,
-            );
-        }
-    }
-    // Serving-frontend gate. The trace is seeded, so the request count
-    // must match exactly and the padded count gates at full strength;
-    // throughput/latency are wall-clock metrics — widened tolerance,
-    // same-shape hosts only (batch count is timing-dependent and is
-    // recorded but never gated). The `serve_open_loop` PerfRecord's
-    // deterministic cycle/op sums already gate through the per-workload
-    // loop above.
-    match (&baseline.serve, &current.serve) {
-        (None, _) => out.notes.push(
-            "serve gate skipped (baseline predates the serve_open_loop workload; refresh it)"
-                .to_string(),
-        ),
-        (Some(_), None) => {
-            out.failures.push("serve_open_loop stats missing from current run".to_string());
-        }
-        (Some(base), Some(cur)) => {
-            if base.requests != cur.requests {
-                out.failures.push(format!(
-                    "serve_open_loop/requests changed: {} -> {} (the trace is seeded; the count is exact)",
-                    base.requests, cur.requests
-                ));
-            }
-            if base.padded != cur.padded {
-                out.failures.push(format!(
-                    "serve_open_loop/padded changed: {} -> {} (padding depends only on shape and quantum)",
-                    base.padded, cur.padded
-                ));
-            }
-            if baseline.host_cores == current.host_cores {
-                let wall_tol = tolerance * WALL_TOLERANCE_FACTOR;
-                check_ratio(
-                    &mut out,
-                    "serve_open_loop",
-                    "throughput_rps",
-                    base.throughput_rps,
-                    cur.throughput_rps,
-                    false,
-                    wall_tol,
-                );
-                check_ratio(
-                    &mut out,
-                    "serve_open_loop",
-                    "p50_latency_ns",
-                    base.p50_latency_ns,
-                    cur.p50_latency_ns,
-                    true,
-                    wall_tol,
-                );
-                check_ratio(
-                    &mut out,
-                    "serve_open_loop",
-                    "p99_latency_ns",
-                    base.p99_latency_ns,
-                    cur.p99_latency_ns,
-                    true,
-                    wall_tol,
-                );
-            } else {
-                out.notes.push(format!(
-                    "serve throughput/latency gate skipped (baseline host_cores {}, current host_cores {})",
-                    baseline.host_cores, current.host_cores
-                ));
-            }
-        }
-    }
-    // Overload gate. Every counter is scripted on the virtual clock —
-    // the storm trace, the SLO knobs, and the fault-injection stream
-    // are all seeded — so every field (goodput's f64 division included)
-    // must match the baseline exactly. Any drift means admission
-    // control, shedding, fault injection, or worker recovery changed
-    // behavior. The `serve_overload` PerfRecord's cycle/op sums gate
-    // through the per-workload loop above.
-    match (&baseline.overload, &current.overload) {
-        (None, _) => out.notes.push(
-            "overload gate skipped (baseline predates the serve_overload workload; refresh it)"
-                .to_string(),
-        ),
-        (Some(_), None) => {
-            out.failures.push("serve_overload stats missing from current run".to_string());
-        }
-        (Some(base), Some(cur)) => {
-            let exact_u64 = [
-                ("submitted", base.submitted, cur.submitted),
-                ("rejected", base.rejected, cur.rejected),
-                ("shed", base.shed, cur.shed),
-                ("worker_lost", base.worker_lost, cur.worker_lost),
-                ("completed", base.completed, cur.completed),
-                ("workers", base.workers as u64, cur.workers as u64),
-                ("respawned", base.respawned, cur.respawned),
-            ];
-            for (metric, b, c) in exact_u64 {
-                if b != c {
-                    out.failures.push(format!(
-                        "serve_overload/{metric} changed: {b} -> {c} (the overload protocol is scripted; every counter is exact)"
-                    ));
-                }
-            }
-            if base.goodput != cur.goodput {
-                out.failures.push(format!(
-                    "serve_overload/goodput changed: {} -> {} (deterministic ratio of exact counters)",
-                    base.goodput, cur.goodput
-                ));
-            }
-        }
     }
     out
 }
 
-/// Collapses a [`GateOutcome`]'s "gate skipped" notes into one explicit
-/// `self-disabled gates:` line naming every dark gate with the category
-/// of its reason (host shape changed, stale baseline schema, host too
-/// small, no counting allocator). Returns `None` when every gate armed.
-/// The individual notes stay in [`GateOutcome::notes`] for the full
-/// wording; this line exists so a CI log scan answers "what was NOT
-/// checked on this run?" in one place.
+/// One `self-disabled gates:` line naming every disarmed row, or `None`
+/// when every row armed — so a CI log scan answers "what was NOT checked
+/// on this run?" in one place.
 pub fn disabled_summary(outcome: &GateOutcome) -> Option<String> {
-    let mut parts: Vec<String> = Vec::new();
-    for note in &outcome.notes {
-        let Some(idx) = note.find(" gate skipped") else { continue };
-        let gate = &note[..idx];
-        let reason = if note.contains("predates") {
-            "stale baseline schema"
-        } else if note.contains("core count changed") || note.contains("host_cores") {
-            "host shape changed"
-        } else if note.contains("needs >= 4") || note.contains("cannot demonstrate") {
-            "host too small"
-        } else if note.contains("no counting allocator") {
-            "no counting allocator"
-        } else {
-            "see notes"
-        };
-        parts.push(format!("{gate} ({reason})"));
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(format!("self-disabled gates: {}", parts.join(", ")))
+    (!outcome.disarmed.is_empty())
+        .then(|| format!("self-disabled gates: {}", outcome.disarmed.join(", ")))
+}
+
+/// Worsens every wall-clock row by `factor` (lower-is-better values
+/// multiply, higher-is-better values divide): the
+/// `TA_BENCH_INJECT_SLOWDOWN` self-test that shows the gate trips.
+pub fn inject_slowdown(rows: &mut [MetricRow], factor: f64) {
+    for row in rows.iter_mut().filter(|r| r.class.is_wall()) {
+        match row.better {
+            Better::Lower => row.value *= factor,
+            Better::Higher => row.value /= factor,
+        }
     }
 }
 
@@ -435,374 +172,148 @@ mod tests {
     use crate::perf::test_fixture::sample_report;
     use crate::perf::GATE_TOLERANCE;
 
+    /// `sample_report` with `metric` of `workload` scaled by `factor`.
+    fn scaled(workload: &str, metric: &str, factor: f64) -> PerfReport {
+        let mut r = sample_report();
+        let row = r.rows.iter_mut().find(|x| x.workload == workload && x.metric == metric);
+        row.expect("fixture row").value *= factor;
+        r
+    }
+
+    fn fails_on(outcome: &GateOutcome, needle: &str) -> bool {
+        outcome.failures.iter().any(|f| f.contains(needle))
+    }
+
     #[test]
     fn gate_passes_identical_reports() {
         let r = sample_report();
         let outcome = compare(&r, &r, GATE_TOLERANCE);
         assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+        assert!(outcome.notes.is_empty() && disabled_summary(&outcome).is_none());
     }
 
     #[test]
-    fn gate_trips_on_injected_slowdown() {
-        let base = sample_report();
-        let mut slow = base.clone();
-        for w in &mut slow.workloads {
-            w.wall_s *= 3.0;
-            w.wall_norm *= 3.0;
-        }
-        let outcome = compare(&base, &slow, GATE_TOLERANCE);
-        assert!(!outcome.passed());
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("wall_norm")),
-            "failures: {:?}",
-            outcome.failures
-        );
-    }
-
-    #[test]
-    fn gate_trips_on_cycle_regression_and_missing_workload() {
-        let base = sample_report();
-        let mut worse = base.clone();
-        worse.workloads[0].cycles = (base.workloads[0].cycles as f64 * 1.3) as u64;
-        worse.workloads.pop();
-        let outcome = compare(&base, &worse, GATE_TOLERANCE);
-        assert!(outcome.failures.iter().any(|f| f.contains("cycles")));
-        assert!(outcome.failures.iter().any(|f| f.contains("missing")));
-    }
-
-    #[test]
-    fn gate_ignores_small_jitter_and_notes_improvements() {
-        let base = sample_report();
-        let mut jitter = base.clone();
-        jitter.workloads[0].wall_norm *= 1.1; // within 20%
-        jitter.workloads[0].macs_per_cycle *= 1.5; // improvement
-        let outcome = compare(&base, &jitter, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(outcome.notes.iter().any(|n| n.contains("improved")));
-    }
-
-    #[test]
-    fn wall_norm_gates_at_widened_tolerance_only() {
-        let base = sample_report();
-        // +60% wall: a shared-host contention swing, inside the widened
-        // wall gate (20% × 5 = 100%) — must pass.
-        let mut burst = base.clone();
-        for w in &mut burst.workloads {
-            w.wall_norm *= 1.6;
-        }
-        let outcome = compare(&base, &burst, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        // +150% wall (e.g. the 3× inject-slowdown self-test): past even
-        // the widened gate — must fail.
-        let mut slow = base.clone();
-        for w in &mut slow.workloads {
-            w.wall_norm *= 2.5;
-        }
-        let outcome = compare(&base, &slow, GATE_TOLERANCE);
-        assert!(outcome.failures.iter().any(|f| f.contains("wall_norm")));
-        // Deterministic metrics keep the full-strength 20%: +60% cycles
-        // fails even though the same ratio passed for wall_norm.
-        let mut cyc = base.clone();
-        cyc.workloads[0].cycles = (base.workloads[0].cycles as f64 * 1.6) as u64;
-        let outcome = compare(&base, &cyc, GATE_TOLERANCE);
-        assert!(outcome.failures.iter().any(|f| f.contains("cycles")));
-    }
-
-    #[test]
-    fn gate_skips_speedup_on_small_hosts() {
+    fn injected_slowdown_fails_every_armed_wall_row_serial_included() {
+        // A 1-core baseline against a 2-core run: ParallelWall disarms,
+        // SerialWall still gates.
         let mut base = sample_report();
         base.host_cores = 1;
-        let mut cur = base.clone();
-        cur.speedup_parallel = 0.5; // would fail on a >= 4-core pair
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(outcome.notes.iter().any(|n| n.contains("speedup gate skipped")));
-        // The contention gate self-disables on a small host too, with
-        // its own logged reason.
-        assert!(
-            outcome.notes.iter().any(|n| n.contains("contention gate skipped")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn gate_skips_speedup_and_contention_on_core_count_mismatch() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.host_cores = 64; // both ≥ 4, but shapes differ
-        cur.speedup_parallel = 0.1; // would fail on matching shapes
-        cur.contention[1].mlookups_per_s = 0.1; // would fail on matching shapes
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome.notes.iter().any(
-                |n| n.contains("speedup gate skipped") && n.contains("host core count changed")
-            ),
-            "notes: {:?}",
-            outcome.notes
-        );
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("contention gate skipped")
-                    && n.contains("host core count changed")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn gate_fails_when_measured_metric_collapses_to_zero() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.workloads[0].cycles = 0;
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("collapsed to zero")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // But a metric the *baseline* marks not-applicable stays skipped
-        // (the fig9 record has cycles 0 on both sides).
-        assert!(!outcome.failures.iter().any(|f| f.contains("fig9")));
-    }
-
-    #[test]
-    fn gate_skips_wall_norm_across_machine_shapes() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.host_cores = 4; // baseline recorded 8 cores
-        cur.workloads[0].wall_norm *= 10.0; // would trip on matching shapes
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(outcome.notes.iter().any(|n| n.contains("wall_norm gate skipped")));
-    }
-
-    #[test]
-    fn gate_trips_when_hit_rate_collapses() {
-        let base = sample_report();
-        let mut cur = base.clone();
-        cur.plan_cache_hit_rate = 0.0;
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        assert!(
-            outcome
-                .failures
-                .iter()
-                .any(|f| f.contains("plan_cache_hit_rate") && f.contains("collapsed to zero")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // A mild dip inside tolerance passes.
-        let mut dip = base.clone();
-        dip.plan_cache_hit_rate = 0.9;
-        assert!(compare(&base, &dip, GATE_TOLERANCE).passed());
-        // A drop past tolerance fails.
-        let mut drop = base.clone();
-        drop.plan_cache_hit_rate = 0.5;
-        assert!(!compare(&base, &drop, GATE_TOLERANCE).passed());
-    }
-
-    #[test]
-    fn contention_gate_trips_on_throughput_collapse() {
-        let base = sample_report();
-        // The 8-thread point flattens back to mutex-like throughput:
-        // past even the widened (5×20% = 100%) gate — both the absolute
-        // point and the scaling ratio must fail.
-        let mut flat = base.clone();
-        flat.contention[1].mlookups_per_s = 8.0;
-        let outcome = compare(&base, &flat, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("plan_cache_contention_t8")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("hit_path_scaling")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Jitter inside the widened gate passes.
-        let mut jitter = base.clone();
-        jitter.contention[1].mlookups_per_s = 30.0;
-        assert!(compare(&base, &jitter, GATE_TOLERANCE).passed());
-        // A current run that dropped the workload entirely fails.
-        let mut missing = base.clone();
-        missing.contention.clear();
-        let outcome = compare(&base, &missing, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("missing from current run")),
-            "failures: {:?}",
-            outcome.failures
-        );
-    }
-
-    #[test]
-    fn gate_trips_on_alloc_regression_only_past_slack() {
-        let base = sample_report();
-        // Within the ±0.5 absolute slack: passes (occasional one-off
-        // growth of a warm buffer is not a design regression).
-        let mut mild = base.clone();
-        mild.exec_allocs_per_subtile = 0.3;
-        assert!(compare(&base, &mild, GATE_TOLERANCE).passed());
-        // A real per-sub-tile allocation rate fails.
-        let mut bad = base.clone();
-        bad.exec_allocs_per_subtile = 2.0;
-        let outcome = compare(&base, &bad, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("exec_allocs_per_subtile")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Current run without a counting allocator: note, not failure.
-        let mut unmeasured = base.clone();
-        unmeasured.exec_allocs_per_subtile = -1.0;
-        let outcome = compare(&base, &unmeasured, GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(outcome.notes.iter().any(|n| n.contains("no counting allocator")));
-    }
-
-    #[test]
-    fn serve_gate_requires_exact_deterministic_counts() {
-        let base = sample_report();
-        // A current run that dropped the serving stats entirely fails.
-        let mut missing = base.clone();
-        missing.serve = None;
-        let outcome = compare(&base, &missing, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_open_loop stats missing")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // The trace is seeded: a changed request count is a hard fail.
-        let mut drifted = base.clone();
-        drifted.serve.as_mut().unwrap().requests = 47;
-        let outcome = compare(&base, &drifted, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_open_loop/requests changed")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Padding depends only on shape and quantum: also exact.
-        let mut padded = base.clone();
-        padded.serve.as_mut().unwrap().padded = 31;
-        let outcome = compare(&base, &padded, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_open_loop/padded changed")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Batch count is timing-dependent — never gated.
-        let mut batches = base.clone();
-        batches.serve.as_mut().unwrap().batches = 48;
-        assert!(compare(&base, &batches, GATE_TOLERANCE).passed());
-    }
-
-    #[test]
-    fn serve_wall_metrics_gate_at_widened_tolerance_and_matching_shape_only() {
-        let base = sample_report();
-        // -40% throughput: inside the widened (100%) wall gate — passes.
-        let mut jitter = base.clone();
-        jitter.serve.as_mut().unwrap().throughput_rps *= 0.6;
-        assert!(compare(&base, &jitter, GATE_TOLERANCE).passed());
-        // Throughput halved-and-worse plus p99 tripled: both fail.
-        let mut slow = base.clone();
-        {
-            let s = slow.serve.as_mut().unwrap();
-            s.throughput_rps /= 2.5;
-            s.p99_latency_ns *= 3.0;
-        }
+        let mut slow = sample_report();
+        slow.host_cores = 2;
+        inject_slowdown(&mut slow.rows, 3.0);
         let outcome = compare(&base, &slow, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_open_loop/throughput_rps")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_open_loop/p99_latency_ns")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Across machine shapes the wall metrics skip with a note; the
-        // deterministic counts still gate.
-        let mut other_host = slow.clone();
-        other_host.host_cores = 64;
-        let outcome = compare(&base, &other_host, GATE_TOLERANCE);
-        assert!(
-            !outcome.failures.iter().any(|f| f.contains("throughput_rps")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        assert!(
-            outcome.notes.iter().any(|n| n.contains("serve throughput/latency gate skipped")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn overload_gate_requires_exact_counters() {
-        let base = sample_report();
-        // A current run that dropped the overload stats entirely fails.
-        let mut missing = base.clone();
-        missing.overload = None;
-        let outcome = compare(&base, &missing, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_overload stats missing")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // Every counter is scripted: off-by-one anywhere is a hard fail.
-        for (field, mutate) in [
-            ("rejected", (|o: &mut crate::perf::OverloadStats| o.rejected += 1) as fn(&mut _)),
-            ("shed", |o| o.shed -= 1),
-            ("worker_lost", |o| o.worker_lost += 1),
-            ("completed", |o| o.completed -= 1),
-            ("respawned", |o| o.respawned += 1),
-        ] {
-            let mut drifted = base.clone();
-            mutate(drifted.overload.as_mut().unwrap());
-            let outcome = compare(&base, &drifted, GATE_TOLERANCE);
-            assert!(
-                outcome.failures.iter().any(|f| f.contains(&format!("serve_overload/{field}"))),
-                "{field} drift must fail; failures: {:?}",
-                outcome.failures
-            );
+        assert_eq!(outcome.armed_wall, ["l7b_qproj_serial/wall_norm"]);
+        for id in &outcome.armed_wall {
+            assert!(fails_on(&outcome, id), "{id}: {:?}", outcome.failures);
         }
-        // Goodput is a deterministic ratio of exact counters — any f64
-        // difference (not a tolerance band) fails.
-        let mut good = base.clone();
-        good.overload.as_mut().unwrap().goodput += 1e-9;
-        let outcome = compare(&base, &good, GATE_TOLERANCE);
-        assert!(
-            outcome.failures.iter().any(|f| f.contains("serve_overload/goodput")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        // An exact match passes (covered by gate_passes_identical_reports
-        // too, but assert the arm stays quiet here).
-        let outcome = compare(&base, &base, GATE_TOLERANCE);
-        assert!(outcome.passed() && !outcome.notes.iter().any(|n| n.contains("overload")));
+        assert_eq!(outcome.failures.len(), outcome.armed_wall.len(), "{:?}", outcome.failures);
+        // On an equal >= 4-core pair every wall row arms and trips,
+        // higher-is-better rows included.
+        let mut slow = sample_report();
+        inject_slowdown(&mut slow.rows, 3.0);
+        let outcome = compare(&sample_report(), &slow, GATE_TOLERANCE);
+        let walls = sample_report().rows.iter().filter(|r| r.class.is_wall()).count();
+        assert_eq!(outcome.armed_wall.len(), walls);
+        for id in &outcome.armed_wall {
+            assert!(fails_on(&outcome, id), "{id}: {:?}", outcome.failures);
+        }
     }
 
     #[test]
-    fn schema6_baseline_skips_overload_gate_with_a_note() {
-        let mut old = sample_report();
-        old.schema = 6;
-        old.overload = None;
-        let outcome = compare(&old, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("overload gate skipped") && n.contains("predates")),
-            "notes: {:?}",
-            outcome.notes
+    fn exact_rows_must_match_and_missing_rows_fail() {
+        let outcome = compare(
+            &sample_report(),
+            &scaled("plan_cache_contention_t8", "lookups", 1.0 + 1e-9),
+            GATE_TOLERANCE,
         );
-        let line = disabled_summary(&outcome).expect("stale baseline darkens the overload gate");
-        assert!(line.contains("overload (stale baseline schema)"), "{line}");
+        assert!(fails_on(&outcome, "plan_cache_contention_t8/lookups changed"));
+        let mut missing = sample_report();
+        missing.rows.pop();
+        let outcome = compare(&sample_report(), &missing, GATE_TOLERANCE);
+        assert!(fails_on(&outcome, "kernel_micro_popcount/wall_norm missing"));
+    }
+
+    #[test]
+    fn model_rows_gate_at_tolerance_and_note_improvements() {
+        let base = sample_report();
+        let jitter = scaled("l7b_qproj_serial", "density", 1.1);
+        assert!(compare(&base, &jitter, GATE_TOLERANCE).passed());
+        let outcome = compare(&base, &scaled("l7b_qproj_serial", "density", 1.3), GATE_TOLERANCE);
+        assert!(fails_on(&outcome, "l7b_qproj_serial/density regressed"));
+        // Higher-is-better: a 1.5× macs/cycle is an improvement note.
+        let faster = scaled("l7b_qproj_serial", "macs_per_cycle", 1.5);
+        let outcome = compare(&base, &faster, GATE_TOLERANCE);
+        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+        assert!(outcome.notes.iter().any(|n| n.contains("macs_per_cycle improved")));
+    }
+
+    #[test]
+    fn wall_rows_gate_at_widened_tolerance_only() {
+        let base = sample_report();
+        // +60%: a shared-host contention swing inside 20% × 5 = 100%.
+        let burst = scaled("l7b_qproj_serial", "wall_norm", 1.6);
+        assert!(compare(&base, &burst, GATE_TOLERANCE).passed());
+        let slow = scaled("l7b_qproj_serial", "wall_norm", 2.5);
+        assert!(fails_on(&compare(&base, &slow, GATE_TOLERANCE), "wall_norm regressed"));
+        // Model rows keep the full-strength 20% at the same ratio.
+        let model = scaled("l7b_qproj_serial", "macs_per_cycle", 1.0 / 1.6);
+        assert!(fails_on(&compare(&base, &model, GATE_TOLERANCE), "macs_per_cycle"));
+    }
+
+    #[test]
+    fn collapse_to_zero_fails_and_info_rows_never_gate() {
+        let base = sample_report();
+        let outcome = compare(&base, &scaled("l7b_qproj_serial", "cycles", 0.0), GATE_TOLERANCE);
+        assert!(fails_on(&outcome, "l7b_qproj_serial/cycles collapsed to zero"));
+        for factor in [0.0, 10.0] {
+            let info = scaled("serve_open_loop", "batches", factor);
+            assert!(compare(&base, &info, GATE_TOLERANCE).passed());
+        }
+    }
+
+    #[test]
+    fn class_drift_fails_with_regenerate_message() {
+        let mut drifted = sample_report();
+        drifted.rows[3].class = GateClass::ParallelWall;
+        let outcome = compare(&drifted, &sample_report(), GATE_TOLERANCE);
+        assert!(fails_on(&outcome, "l7b_qproj_serial/wall_norm is SerialWall/Lower"));
+        assert!(fails_on(&outcome, "regenerate the baseline"));
+        let mut flipped = sample_report();
+        flipped.rows[3].better = Better::Higher;
+        assert!(!compare(&flipped, &sample_report(), GATE_TOLERANCE).passed());
+    }
+
+    #[test]
+    fn new_rows_are_noted_as_ungated() {
+        let mut base = sample_report();
+        base.rows.retain(|r| r.workload != "kernel_micro_popcount");
+        let outcome = compare(&base, &sample_report(), GATE_TOLERANCE);
+        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+        let ungated = outcome.notes.iter().filter(|n| n.contains("ungated until")).count();
+        assert_eq!(ungated, 2);
+    }
+
+    #[test]
+    fn disabled_summary_names_exactly_the_disarmed_parallel_wall_rows() {
+        let mut base = sample_report();
+        base.host_cores = 1;
+        let mut cur = sample_report();
+        cur.host_cores = 2;
+        let outcome = compare(&base, &cur, GATE_TOLERANCE);
+        let parallel: Vec<String> = base
+            .rows
+            .iter()
+            .filter(|r| r.class == GateClass::ParallelWall)
+            .map(MetricRow::id)
+            .collect();
+        assert_eq!(outcome.disarmed, parallel);
+        let line = disabled_summary(&outcome).expect("a 1-vs-2-core pair disarms rows");
+        assert_eq!(line, format!("self-disabled gates: {}", parallel.join(", ")));
+        // Equal shapes below 4 cores disarm too; equal >= 4 arms all.
+        let small = compare(&base, &base, GATE_TOLERANCE);
+        assert_eq!(small.disarmed, parallel);
+        assert!(disabled_summary(&compare(&cur, &cur, GATE_TOLERANCE)).is_some());
+        assert!(disabled_summary(&compare(&sample_report(), &sample_report(), 0.2)).is_none());
     }
 
     #[test]
@@ -811,29 +322,5 @@ mod tests {
         let mut cur = base.clone();
         cur.scale = "full".into();
         assert!(!compare(&base, &cur, GATE_TOLERANCE).passed());
-    }
-
-    #[test]
-    fn disabled_summary_names_every_dark_gate_with_a_reason() {
-        let mut base = sample_report();
-        base.host_cores = 1;
-        let mut cur = base.clone();
-        cur.exec_allocs_per_subtile = -1.0;
-        let outcome = compare(&base, &cur, GATE_TOLERANCE);
-        let line = disabled_summary(&outcome).expect("small-host gates must be dark");
-        assert!(line.starts_with("self-disabled gates: "), "{line}");
-        assert!(line.contains("speedup (host too small)"), "{line}");
-        assert!(line.contains("contention (host too small)"), "{line}");
-        assert!(line.contains("exec_allocs_per_subtile (no counting allocator)"), "{line}");
-        // Host-shape mismatches classify distinctly.
-        let mut other = sample_report();
-        other.host_cores = 64;
-        let line = disabled_summary(&compare(&sample_report(), &other, GATE_TOLERANCE))
-            .expect("shape mismatch darkens gates");
-        assert!(line.contains("wall_norm (host shape changed)"), "{line}");
-        assert!(line.contains("speedup (host shape changed)"), "{line}");
-        // A same-shape, fully-measured pair has no dark gates.
-        let all_armed = compare(&sample_report(), &sample_report(), GATE_TOLERANCE);
-        assert!(disabled_summary(&all_armed).is_none());
     }
 }

@@ -1,8 +1,8 @@
 //! The perf report's JSON micro-codec (serde is unavailable offline):
-//! emission and parsing of exactly the subset [`PerfReport::to_json`]
-//! writes, plus back-compat parsing of every older baseline schema.
+//! emission and parsing of exactly the schema-8 subset
+//! [`PerfReport::to_json`] writes.
 
-use crate::perf::{ContentionPoint, OverloadStats, PerfRecord, PerfReport, ServeStats};
+use crate::perf::{Better, GateClass, MetricRow, PerfReport, SCHEMA};
 use std::fmt::Write as _;
 
 fn json_f64(v: f64) -> String {
@@ -33,105 +33,52 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-impl ContentionPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\": {}, \"lookups\": {}, \"wall_s\": {}, \"ns_per_lookup\": {}, \"mlookups_per_s\": {}}}",
-            self.threads,
-            self.lookups,
-            json_f64(self.wall_s),
-            json_f64(self.ns_per_lookup),
-            json_f64(self.mlookups_per_s),
-        )
-    }
+/// Wire names of [`Better`].
+const BETTER: [(Better, &str); 2] = [(Better::Lower, "lower"), (Better::Higher, "higher")];
+
+/// Wire names of [`GateClass`].
+const CLASSES: [(GateClass, &str); 5] = [
+    (GateClass::Exact, "exact"),
+    (GateClass::Model, "model"),
+    (GateClass::SerialWall, "serial_wall"),
+    (GateClass::ParallelWall, "parallel_wall"),
+    (GateClass::Info, "info"),
+];
+
+fn wire_name<T: Copy + PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table.iter().find(|(v, _)| *v == value).map(|(_, name)| *name).expect("every variant is named")
 }
 
-impl ServeStats {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"requests\": {}, \"batches\": {}, \"padded\": {}, \"workers\": {}, \"throughput_rps\": {}, \"p50_latency_ns\": {}, \"p99_latency_ns\": {}}}",
-            self.requests,
-            self.batches,
-            self.padded,
-            self.workers,
-            json_f64(self.throughput_rps),
-            json_f64(self.p50_latency_ns),
-            json_f64(self.p99_latency_ns),
-        )
-    }
-}
-
-impl OverloadStats {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"submitted\": {}, \"rejected\": {}, \"shed\": {}, \"worker_lost\": {}, \"completed\": {}, \"goodput\": {}, \"workers\": {}, \"respawned\": {}}}",
-            self.submitted,
-            self.rejected,
-            self.shed,
-            self.worker_lost,
-            self.completed,
-            json_f64(self.goodput),
-            self.workers,
-            self.respawned,
-        )
-    }
-}
-
-impl PerfRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\": {}, \"cycles\": {}, \"total_ops\": {}, \"density\": {}, \"macs_per_cycle\": {}, \"wall_s\": {}, \"wall_norm\": {}}}",
-            json_str(&self.name),
-            self.cycles,
-            self.total_ops,
-            json_f64(self.density),
-            json_f64(self.macs_per_cycle),
-            json_f64(self.wall_s),
-            json_f64(self.wall_norm),
-        )
-    }
+fn from_wire<T: Copy>(table: &[(T, &str)], name: &str, ctx: &str) -> Result<T, String> {
+    let names: Vec<&str> = table.iter().map(|(_, n)| *n).collect();
+    table.iter().find(|(_, n)| *n == name).map(|(v, _)| *v).ok_or_else(|| {
+        format!("{ctx}: unknown value '{name}' (expected one of {})", names.join(", "))
+    })
 }
 
 impl PerfReport {
-    /// Serializes the report as pretty-ish JSON.
+    /// Serializes the report as schema-8 JSON, one row per line.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": {},", self.schema);
+        let _ = writeln!(out, "  \"schema\": {SCHEMA},");
         let _ = writeln!(out, "  \"sha\": {},", json_str(&self.sha));
         let _ = writeln!(out, "  \"scale\": {},", json_str(&self.scale));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(out, "  \"calibration_wall_s\": {},", json_f64(self.calibration_wall_s));
-        let _ = writeln!(out, "  \"speedup_parallel\": {},", json_f64(self.speedup_parallel));
-        let _ = writeln!(out, "  \"plan_cache_hit_rate\": {},", json_f64(self.plan_cache_hit_rate));
-        let _ = writeln!(out, "  \"speedup_cached\": {},", json_f64(self.speedup_cached));
-        let _ = writeln!(out, "  \"dram_requests\": {},", self.dram_requests);
-        let _ = writeln!(out, "  \"dram_bursts\": {},", self.dram_bursts);
-        let _ = writeln!(
-            out,
-            "  \"exec_allocs_per_subtile\": {},",
-            json_f64(self.exec_allocs_per_subtile)
-        );
-        // Schema-5 field, one line so older tooling can strip it; omitted
-        // entirely when absent (the parser defaults to `None`).
-        if let Some(serve) = &self.serve {
-            let _ = writeln!(out, "  \"serve\": {},", serve.to_json());
-        }
-        // Schema-7 field, same one-line/omit-when-absent convention.
-        if let Some(overload) = &self.overload {
-            let _ = writeln!(out, "  \"serve_overload\": {},", overload.to_json());
-        }
-        let _ = writeln!(out, "  \"plan_cache_contention\": [");
-        for (i, c) in self.contention.iter().enumerate() {
-            let comma = if i + 1 < self.contention.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}{comma}", c.to_json());
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"workloads\": [");
-        for (i, w) in self.workloads.iter().enumerate() {
-            let comma = if i + 1 < self.workloads.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}{comma}", w.to_json());
+        let _ = writeln!(out, "  \"rows\": [");
+        for (i, r) in self.rows.iter().enumerate() {
+            let comma = if i + 1 < self.rows.len() { "," } else { "" };
+            let _ = writeln!(
+                out,
+                "    {{\"workload\": {}, \"metric\": {}, \"value\": {}, \"better\": \"{}\", \"class\": \"{}\"}}{comma}",
+                json_str(&r.workload),
+                json_str(&r.metric),
+                json_f64(r.value),
+                wire_name(&BETTER, r.better),
+                wire_name(&CLASSES, r.class),
+            );
         }
         let _ = writeln!(out, "  ]");
         let _ = writeln!(out, "}}");
@@ -142,121 +89,40 @@ impl PerfReport {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive message on malformed input or missing
-    /// fields.
+    /// Returns a descriptive message on malformed input, missing fields,
+    /// or any schema other than [`SCHEMA`] (regenerate such a baseline
+    /// with `bench_smoke --write-baseline`).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = JsonParser::new(text).parse()?;
         let obj = value.as_obj("top level")?;
-        let workloads = obj
-            .get("workloads")?
-            .as_arr("workloads")?
+        let schema = obj.get("schema")?.as_u64("schema")?;
+        if schema != SCHEMA {
+            return Err(format!(
+                "schema {schema} is not the supported schema {SCHEMA}: regenerate the baseline with `bench_smoke --write-baseline`"
+            ));
+        }
+        let rows = obj
+            .get("rows")?
+            .as_arr("rows")?
             .iter()
-            .map(|w| {
-                let o = w.as_obj("workload")?;
-                Ok(PerfRecord {
-                    name: o.get("name")?.as_str("name")?.to_string(),
-                    cycles: o.get("cycles")?.as_u64("cycles")?,
-                    total_ops: o.get("total_ops")?.as_u64("total_ops")?,
-                    density: o.get("density")?.as_f64("density")?,
-                    macs_per_cycle: o.get("macs_per_cycle")?.as_f64("macs_per_cycle")?,
-                    wall_s: o.get("wall_s")?.as_f64("wall_s")?,
-                    wall_norm: o.get("wall_norm")?.as_f64("wall_norm")?,
+            .map(|r| {
+                let o = r.as_obj("row")?;
+                Ok(MetricRow {
+                    workload: o.get("workload")?.as_str("workload")?.to_string(),
+                    metric: o.get("metric")?.as_str("metric")?.to_string(),
+                    value: o.get("value")?.as_f64("value")?,
+                    better: from_wire(&BETTER, o.get("better")?.as_str("better")?, "better")?,
+                    class: from_wire(&CLASSES, o.get("class")?.as_str("class")?, "class")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
-            schema: obj.get("schema")?.as_u64("schema")?,
             sha: obj.get("sha")?.as_str("sha")?.to_string(),
             scale: obj.get("scale")?.as_str("scale")?.to_string(),
             threads: obj.get("threads")?.as_u64("threads")? as usize,
-            // Schema-4 renamed `cores` to `host_cores` (the satellite
-            // gate fix); either key parses.
-            host_cores: match obj.get_opt("host_cores") {
-                Some(v) => v.as_u64("host_cores")? as usize,
-                None => obj.get("cores")?.as_u64("cores")? as usize,
-            },
+            host_cores: obj.get("host_cores")?.as_u64("host_cores")? as usize,
             calibration_wall_s: obj.get("calibration_wall_s")?.as_f64("calibration_wall_s")?,
-            speedup_parallel: obj.get("speedup_parallel")?.as_f64("speedup_parallel")?,
-            // Schema-1 reports predate the plan cache; default the new
-            // fields so an old baseline still parses (the hit-rate gate
-            // then self-disables via the `baseline <= 0` rule).
-            plan_cache_hit_rate: match obj.get_opt("plan_cache_hit_rate") {
-                Some(v) => v.as_f64("plan_cache_hit_rate")?,
-                None => 0.0,
-            },
-            speedup_cached: match obj.get_opt("speedup_cached") {
-                Some(v) => v.as_f64("speedup_cached")?,
-                None => 0.0,
-            },
-            dram_requests: match obj.get_opt("dram_requests") {
-                Some(v) => v.as_u64("dram_requests")?,
-                None => 0,
-            },
-            dram_bursts: match obj.get_opt("dram_bursts") {
-                Some(v) => v.as_u64("dram_bursts")?,
-                None => 0,
-            },
-            // Schema-2 reports predate the allocation audit; the -1.0
-            // sentinel marks it unmeasured and self-disables the gate.
-            exec_allocs_per_subtile: match obj.get_opt("exec_allocs_per_subtile") {
-                Some(v) => v.as_f64("exec_allocs_per_subtile")?,
-                None => -1.0,
-            },
-            // Schema ≤ 3 reports predate the contention sweep; an empty
-            // vec self-disables the contention gate with a note.
-            contention: match obj.get_opt("plan_cache_contention") {
-                Some(v) => v
-                    .as_arr("plan_cache_contention")?
-                    .iter()
-                    .map(|c| {
-                        let o = c.as_obj("contention point")?;
-                        Ok(ContentionPoint {
-                            threads: o.get("threads")?.as_u64("threads")? as usize,
-                            lookups: o.get("lookups")?.as_u64("lookups")?,
-                            wall_s: o.get("wall_s")?.as_f64("wall_s")?,
-                            ns_per_lookup: o.get("ns_per_lookup")?.as_f64("ns_per_lookup")?,
-                            mlookups_per_s: o.get("mlookups_per_s")?.as_f64("mlookups_per_s")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                None => Vec::new(),
-            },
-            // Schema ≤ 4 reports predate the serving frontend; `None`
-            // self-disables the serve gate with a note.
-            serve: match obj.get_opt("serve") {
-                Some(v) => {
-                    let o = v.as_obj("serve")?;
-                    Some(ServeStats {
-                        requests: o.get("requests")?.as_u64("requests")?,
-                        batches: o.get("batches")?.as_u64("batches")?,
-                        padded: o.get("padded")?.as_u64("padded")?,
-                        workers: o.get("workers")?.as_u64("workers")? as usize,
-                        throughput_rps: o.get("throughput_rps")?.as_f64("throughput_rps")?,
-                        p50_latency_ns: o.get("p50_latency_ns")?.as_f64("p50_latency_ns")?,
-                        p99_latency_ns: o.get("p99_latency_ns")?.as_f64("p99_latency_ns")?,
-                    })
-                }
-                None => None,
-            },
-            // Schema ≤ 6 reports predate the overload workload; `None`
-            // self-disables the overload gate with a note.
-            overload: match obj.get_opt("serve_overload") {
-                Some(v) => {
-                    let o = v.as_obj("serve_overload")?;
-                    Some(OverloadStats {
-                        submitted: o.get("submitted")?.as_u64("submitted")?,
-                        rejected: o.get("rejected")?.as_u64("rejected")?,
-                        shed: o.get("shed")?.as_u64("shed")?,
-                        worker_lost: o.get("worker_lost")?.as_u64("worker_lost")?,
-                        completed: o.get("completed")?.as_u64("completed")?,
-                        goodput: o.get("goodput")?.as_f64("goodput")?,
-                        workers: o.get("workers")?.as_u64("workers")? as usize,
-                        respawned: o.get("respawned")?.as_u64("respawned")?,
-                    })
-                }
-                None => None,
-            },
-            workloads,
+            rows,
         })
     }
 }
@@ -274,11 +140,11 @@ struct JsonObj<'a>(&'a [(String, Json)]);
 
 impl<'a> JsonObj<'a> {
     fn get(&self, key: &str) -> Result<&'a Json, String> {
-        self.get_opt(key).ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    fn get_opt(&self, key: &str) -> Option<&'a Json> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("missing field '{key}'"))
     }
 }
 
@@ -487,7 +353,7 @@ impl<'a> JsonParser<'a> {
 #[cfg(test)]
 mod tests {
     use crate::perf::test_fixture::sample_report;
-    use crate::perf::{compare, PerfReport, GATE_TOLERANCE};
+    use crate::perf::PerfReport;
 
     #[test]
     fn json_roundtrip_is_exact() {
@@ -500,193 +366,19 @@ mod tests {
     fn parser_rejects_garbage() {
         assert!(PerfReport::from_json("not json").is_err());
         assert!(PerfReport::from_json("{}").is_err(), "missing fields must error");
-        assert!(PerfReport::from_json("{\"schema\": 1} trailing").is_err());
+        assert!(PerfReport::from_json("{\"schema\": 8} trailing").is_err());
+        let bad_class = sample_report().to_json().replace("\"exact\"", "\"exactish\"");
+        let err = PerfReport::from_json(&bad_class).unwrap_err();
+        assert!(err.contains("unknown value 'exactish'"), "{err}");
     }
 
     #[test]
-    fn schema3_baseline_parses_with_legacy_cores_and_skips_contention_gate() {
-        // A schema-3 baseline has `cores` (not `host_cores`) and no
-        // `plan_cache_contention` array.
-        let mut old = sample_report();
-        old.schema = 3;
-        old.contention.clear();
-        old.serve = None;
-        old.overload = None;
-        let text = old
-            .to_json()
-            .lines()
-            .filter(|l| *l != "  \"plan_cache_contention\": [" && *l != "  ],")
-            .map(|l| {
-                if l.starts_with("  \"host_cores\"") {
-                    format!("  \"cores\": {},", old.host_cores)
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = PerfReport::from_json(&text).expect("schema-3 baseline must parse");
-        assert_eq!(parsed.host_cores, old.host_cores, "legacy `cores` key must map over");
-        assert!(parsed.contention.is_empty());
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("contention gate skipped") && n.contains("predates")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn schema1_baseline_parses_and_skips_hit_rate_gate() {
-        // A pre-plan-cache baseline lacks the schema-2 fields entirely.
-        let mut old = sample_report();
-        old.schema = 1;
-        old.serve = None;
-        old.overload = None;
-        let mut text = old.to_json();
-        for field in [
-            "plan_cache_hit_rate",
-            "speedup_cached",
-            "dram_requests",
-            "dram_bursts",
-            "exec_allocs_per_subtile",
-        ] {
-            let needle = format!("  \"{field}\"");
-            text = text.lines().filter(|l| !l.starts_with(&needle)).collect::<Vec<_>>().join("\n");
-        }
-        let parsed = PerfReport::from_json(&text).expect("schema-1 baseline must parse");
-        assert_eq!(parsed.plan_cache_hit_rate, 0.0);
-        assert_eq!(parsed.speedup_cached, 0.0);
-        assert_eq!(parsed.dram_requests, 0);
-        assert_eq!(parsed.exec_allocs_per_subtile, -1.0);
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome.notes.iter().any(|n| n.contains("plan_cache_hit_rate gate skipped")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn schema2_baseline_parses_and_skips_alloc_gate() {
-        // A schema-2 baseline (pre flat-buffer engine) lacks the
-        // allocation-audit field but keeps everything else.
-        let mut old = sample_report();
-        old.schema = 2;
-        old.serve = None;
-        old.overload = None;
-        let needle = "  \"exec_allocs_per_subtile\"";
-        let text =
-            old.to_json().lines().filter(|l| !l.starts_with(needle)).collect::<Vec<_>>().join("\n");
-        let parsed = PerfReport::from_json(&text).expect("schema-2 baseline must parse");
-        assert_eq!(parsed.exec_allocs_per_subtile, -1.0);
-        assert_eq!(parsed.plan_cache_hit_rate, 1.0, "schema-2 fields still parse");
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome.notes.iter().any(|n| n.contains("exec_allocs_per_subtile gate skipped")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn schema4_baseline_parses_and_skips_serve_gate() {
-        // A schema-4 baseline predates the serving frontend: no `serve`
-        // object (and no `serve_open_loop` workload). It must parse,
-        // and the serve gate must self-disable with a note instead of
-        // failing on the missing stats.
-        let mut old = sample_report();
-        old.schema = 4;
-        old.serve = None;
-        old.overload = None;
-        let text = old.to_json();
-        assert!(!text.contains("\"serve\""), "None must omit the serve line entirely");
-        let parsed = PerfReport::from_json(&text).expect("schema-4 baseline must parse");
-        assert_eq!(parsed, old);
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("serve gate skipped") && n.contains("predates")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn schema6_baseline_parses_and_skips_overload_gate() {
-        // A schema-6 baseline predates the overload workload: no
-        // `serve_overload` object or record. It must parse with
-        // `overload: None`, and the overload gate must self-disable
-        // with a note instead of failing on the missing stats.
-        let mut old = sample_report();
-        old.schema = 6;
-        old.overload = None;
-        old.workloads.retain(|w| w.name != "serve_overload");
-        let text = old.to_json();
-        assert!(!text.contains("\"serve_overload\""), "None must omit the overload line");
-        let parsed = PerfReport::from_json(&text).expect("schema-6 baseline must parse");
-        assert_eq!(parsed, old);
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("overload gate skipped") && n.contains("predates")),
-            "notes: {:?}",
-            outcome.notes
-        );
-    }
-
-    #[test]
-    fn schema5_baseline_parses_and_skips_kernel_micro_gate() {
-        // A schema-5 baseline predates the kernel_micro workloads: same
-        // report shape, just no `kernel_micro_*` records. It must parse,
-        // gate everything it does carry, and log that the kernel arm is
-        // dark instead of failing (the gate only joins on baseline
-        // workload names).
-        let mut old = sample_report();
-        old.schema = 5;
-        old.overload = None;
-        old.workloads.retain(|w| !w.name.starts_with("kernel_micro_"));
-        let parsed = PerfReport::from_json(&old.to_json()).expect("schema-5 baseline must parse");
-        assert_eq!(parsed, old);
-        let outcome = compare(&parsed, &sample_report(), GATE_TOLERANCE);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(
-            outcome
-                .notes
-                .iter()
-                .any(|n| n.contains("kernel_micro gate skipped") && n.contains("predates")),
-            "notes: {:?}",
-            outcome.notes
-        );
-        // With kernel_micro on both sides the note disappears and the
-        // deterministic column gates at full strength.
-        let base = sample_report();
-        let mut drift = base.clone();
-        drift.workloads.last_mut().unwrap().total_ops *= 2;
-        let outcome = compare(&base, &drift, GATE_TOLERANCE);
-        assert!(
-            outcome
-                .failures
-                .iter()
-                .any(|f| f.contains("kernel_micro_popcount") && f.contains("total_ops")),
-            "failures: {:?}",
-            outcome.failures
-        );
-        assert!(!compare(&base, &base, GATE_TOLERANCE)
-            .notes
-            .iter()
-            .any(|n| n.contains("kernel_micro gate skipped")));
+    fn schema7_document_is_rejected_with_the_regenerate_message() {
+        let schema7 = r#"{"schema": 7, "sha": "8adb6f6054a5", "scale": "quick", "threads": 1,
+            "host_cores": 1, "calibration_wall_s": 0.0005, "speedup_parallel": 1.0,
+            "workloads": [{"name": "fig9_dse_t8_r256", "cycles": 0, "total_ops": 782,
+            "density": 0.127, "macs_per_cycle": 0.0, "wall_s": 3.4e-5, "wall_norm": 0.058}]}"#;
+        let err = PerfReport::from_json(schema7).unwrap_err();
+        assert!(err.contains("schema 7") && err.contains("regenerate the baseline"), "{err}");
     }
 }

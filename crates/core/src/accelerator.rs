@@ -224,29 +224,50 @@ impl TransitiveArray {
     /// repetition (sub-tile schedules are input-independent, so this is
     /// exact whenever sampling is off). The sampled sequence runs on the
     /// sharded [`walk`], so the report is bit-exact at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// [`TaError::PatternOutOfRange`] when the source emits a pattern
+    /// wider than the TransRow width.
     pub(crate) fn simulate(
         &self,
         shape: GemmShape,
         source: &mut dyn PatternSource,
         rt: &Runtime,
-    ) -> GemmReport {
+    ) -> Result<GemmReport, TaError> {
         let n_tiles = shape.n.div_ceil(self.cfg.n_tile());
         let k_chunks = shape.k.div_ceil(self.cfg.width as usize);
         let total = n_tiles * k_chunks;
         let limit = self.cfg.sample_limit;
         let step = if limit > 0 && total > limit { total.div_ceil(limit) } else { 1 };
         let grid = Grid { k_chunks, step, sampled: total.div_ceil(step) };
-        let static_si = self.static_si(source, rt, grid);
+        let static_si = self.static_si(source, rt, grid)?;
         let (si, cache) = (static_si.as_ref(), self.plan_cache.as_deref());
         let aggs = walk(source, rt, grid.sampled, |src, positions| {
             let mut agg = Agg::default();
             for pos in positions {
                 let (nt, kc) = grid.subtile(pos);
-                agg.add(&process_subtile(&self.cfg, si, &src.subtile_patterns(nt, kc), cache));
+                let patterns = src.subtile_patterns(nt, kc);
+                self.check_patterns(&patterns)?;
+                agg.add(&process_subtile(&self.cfg, si, &patterns, cache));
             }
-            agg
+            Ok(agg)
         });
-        self.finalize(shape, Agg::merge_shards(&aggs), total as u64)
+        let aggs = aggs.into_iter().collect::<Result<Vec<_>, TaError>>()?;
+        Ok(self.finalize(shape, Agg::merge_shards(&aggs), total as u64))
+    }
+
+    /// Rejects a sub-tile whose patterns set bits above the TransRow
+    /// width: one OR over the sub-tile against the width mask, so the
+    /// Scoreboard's width assert is unreachable from a caller's source.
+    fn check_patterns(&self, patterns: &[u16]) -> Result<(), TaError> {
+        let width = self.cfg.width;
+        let outside = !(u16::MAX >> (16 - width));
+        if patterns.iter().fold(0, |acc, &p| acc | p) & outside == 0 {
+            return Ok(());
+        }
+        let pattern = *patterns.iter().find(|&&p| p & outside != 0).expect("a wide pattern");
+        Err(TaError::PatternOutOfRange { pattern, width })
     }
 
     /// Validates execute operands against the configuration.
@@ -297,7 +318,7 @@ impl TransitiveArray {
 
         let mut source = SlicedSource::new(&sliced, n_tile, self.cfg.width);
         let grid = Grid { k_chunks, step: 1, sampled: n_tiles * k_chunks };
-        let static_si = self.static_si(&mut source, rt, grid);
+        let static_si = self.static_si(&mut source, rt, grid)?;
 
         // Stage the whole input once as a single contiguous row-major
         // buffer (zero-padded past K): sub-tile evaluations borrow `T`
@@ -438,24 +459,32 @@ impl TransitiveArray {
     /// patterns) when the config asks for static mode. The collection
     /// runs on the sharded [`walk`]; concatenating the per-shard pattern
     /// lists in shard order reproduces the serial sequence exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`TaError::PatternOutOfRange`] when the source emits a pattern
+    /// wider than the TransRow width.
     fn static_si(
         &self,
         source: &mut dyn PatternSource,
         rt: &Runtime,
         grid: Grid,
-    ) -> Option<StaticSi> {
+    ) -> Result<Option<StaticSi>, TaError> {
         if self.cfg.scoreboard_mode != ScoreboardMode::Static {
-            return None;
+            return Ok(None);
         }
         let parts = walk(source, rt, grid.sampled, |src, positions| {
             let mut all = Vec::new();
             for pos in positions {
                 let (nt, kc) = grid.subtile(pos);
-                all.extend(src.subtile_patterns(nt, kc));
+                let patterns = src.subtile_patterns(nt, kc);
+                self.check_patterns(&patterns)?;
+                all.extend(patterns);
             }
-            all
+            Ok(all)
         });
-        Some(StaticSi::from_patterns(self.cfg.scoreboard_config(), parts.into_iter().flatten()))
+        let parts = parts.into_iter().collect::<Result<Vec<_>, TaError>>()?;
+        Ok(Some(StaticSi::from_patterns(self.cfg.scoreboard_config(), parts.into_iter().flatten())))
     }
 
     fn finalize(&self, shape: GemmShape, agg: Agg, subtiles_total: u64) -> GemmReport {
@@ -588,7 +617,7 @@ mod tests {
 
         /// Simulates on the `threads` knob's runtime over a borrowed source.
         fn run_sim(&self, shape: GemmShape, source: &mut dyn PatternSource) -> GemmReport {
-            self.simulate(shape, source, &Runtime::new(self.cfg.threads))
+            self.simulate(shape, source, &Runtime::new(self.cfg.threads)).unwrap()
         }
     }
 

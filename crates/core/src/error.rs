@@ -100,6 +100,15 @@ pub enum TaError {
         /// The accelerator's TransRow width.
         accelerator: u32,
     },
+    /// A simulate request's pattern source emitted a pattern with bits
+    /// set above the TransRow width (reported for the first such pattern
+    /// of the first offending sub-tile in walk order).
+    PatternOutOfRange {
+        /// The offending pattern.
+        pattern: u16,
+        /// The accelerator's TransRow width.
+        width: u32,
+    },
     /// A GEMM dimension is zero (e.g. an input with no columns): there is
     /// nothing to tile.
     EmptyOperand {
@@ -136,6 +145,7 @@ impl TaError {
             Self::InputRange { .. } => "input_range",
             Self::WeightRange { .. } => "weight_range",
             Self::SourceWidthMismatch { .. } => "source_width_mismatch",
+            Self::PatternOutOfRange { .. } => "pattern_out_of_range",
             Self::EmptyOperand { .. } => "empty_operand",
             Self::AccumulatorOverflow { .. } => "accumulator_overflow",
         }
@@ -162,6 +172,9 @@ impl fmt::Display for TaError {
                 "source width mismatch: source emits width-{source} patterns but the \
                  accelerator runs width {accelerator}"
             ),
+            Self::PatternOutOfRange { pattern, width } => {
+                write!(f, "pattern {pattern:#b} from the source exceeds the TransRow width {width}")
+            }
             Self::EmptyOperand { n, k, m } => {
                 write!(f, "empty GEMM operand: shape {n}x{k}x{m} has a zero dimension")
             }
@@ -209,6 +222,7 @@ mod tests {
             (TaError::InputRange { act_bits: 8 }, "input_range"),
             (TaError::WeightRange { weight_bits: 4 }, "weight_range"),
             (TaError::SourceWidthMismatch { source: 4, accelerator: 8 }, "source_width_mismatch"),
+            (TaError::PatternOutOfRange { pattern: 0x1ff, width: 8 }, "pattern_out_of_range"),
             (TaError::EmptyOperand { n: 4, k: 8, m: 0 }, "empty_operand"),
             (
                 TaError::AccumulatorOverflow { row: 0, col: 0, value: 1 << 31 },

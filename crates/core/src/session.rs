@@ -13,7 +13,7 @@
 //! * results come back as [`GemmResponse`] values, and per-pattern
 //!   streaming is available through the [`ResultSink`] trait.
 //!
-//! The serving frontend (`ta-serve`), the examples, and the benches all
+//! The serving frontend (`ta-serve`), the examples, and the bench suite all
 //! speak this API. Under it there is one engine path per request kind:
 //! every `run_*` flavor differs only in the runtime it hands the engine
 //! (the `threads` knob, or one serial worker) and in its result sink.
@@ -175,7 +175,9 @@ impl Session {
     ///
     /// Everything [`Self::validate`] rejects, plus
     /// [`TaError::AccumulatorOverflow`] when an execute request's exact
-    /// result does not fit `i32`.
+    /// result does not fit `i32`, and [`TaError::PatternOutOfRange`] when
+    /// a simulate source emits a pattern wider than the TransRow width
+    /// (sources are lazy, so only the run can see their patterns).
     pub fn run(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
         self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink)
@@ -275,7 +277,7 @@ impl Session {
                 GemmResponse { output: Some(output), report }
             }
             RequestKind::Simulate { shape, mut source } => {
-                let report = self.ta.simulate(shape, source.as_mut(), rt);
+                let report = self.ta.simulate(shape, source.as_mut(), rt)?;
                 GemmResponse { output: None, report }
             }
         })
@@ -409,7 +411,7 @@ mod tests {
             .unwrap();
         assert!(resp.output.is_none());
         let mut src = SlicedSource::new(&sliced, n_tile, 4);
-        let want = session.accelerator().simulate(shape, &mut src, &Runtime::serial());
+        let want = session.accelerator().simulate(shape, &mut src, &Runtime::serial()).unwrap();
         assert_eq!(resp.report, want);
     }
 
@@ -444,6 +446,57 @@ mod tests {
             ))
             .unwrap_err();
         assert_eq!(err, TaError::SourceWidthMismatch { source: 8, accelerator: 4 });
+    }
+
+    /// A forkable width-8 source whose every sub-tile carries one
+    /// pattern with bits above the width.
+    #[derive(Clone)]
+    struct WideSource {
+        rows: usize,
+    }
+
+    impl PatternSource for WideSource {
+        fn width(&self) -> u32 {
+            8
+        }
+        fn subtile_patterns(&mut self, _: usize, _: usize) -> Vec<u16> {
+            let mut patterns = vec![0b1011; self.rows];
+            patterns[self.rows / 2] = 0xFFFF;
+            patterns
+        }
+        fn rows_per_subtile(&self) -> usize {
+            self.rows
+        }
+        fn fork(&self) -> Option<Box<dyn PatternSource + Send + '_>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn wide_pattern_is_a_typed_error_not_a_panic() {
+        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+            for threads in [1, 2] {
+                let cfg = TransArrayConfig {
+                    scoreboard_mode: mode,
+                    threads,
+                    ..TransArrayConfig::paper_w8()
+                };
+                let rows = cfg.n_tile() * cfg.weight_bits as usize;
+                let session = Session::new(cfg).unwrap();
+                let request =
+                    GemmRequest::simulate(GemmShape::new(64, 64, 64), WideSource { rows });
+                assert_eq!(
+                    session.validate(&request),
+                    Ok(()),
+                    "patterns are lazy: validate passes"
+                );
+                assert_eq!(
+                    session.run(request).unwrap_err(),
+                    TaError::PatternOutOfRange { pattern: 0xFFFF, width: 8 },
+                    "{mode:?} at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

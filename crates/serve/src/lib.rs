@@ -81,7 +81,7 @@ mod tests {
     use loadgen::{poisson_trace, request_for};
     use std::time::Duration;
     use ta_core::error::TaError;
-    use ta_core::{GemmRequest, GemmShape, Session, TransArrayConfig};
+    use ta_core::{GemmRequest, GemmShape, PatternSource, Session, TransArrayConfig};
     use ta_quant::{gemm_i32, MatI32};
 
     use faultpoint::quiet_injected_panics;
@@ -227,6 +227,39 @@ mod tests {
         let x = MatI32::from_fn(k, 1, |_, _| -128);
         let err = server.submit(0, GemmRequest::execute(w, x)).unwrap().wait().unwrap_err();
         let want = TaError::AccumulatorOverflow { row: 0, col: 0, value: 2_293_760_000 };
+        assert_eq!(err, ServeError::Rejected(RejectReason::Invalid(want)));
+        let stats = server.shutdown();
+        assert_eq!(stats.worker_lost + stats.respawned, 0);
+    }
+
+    /// A width-8 source whose first sub-tile row is wider than 8 bits.
+    struct WideSource {
+        rows: usize,
+    }
+
+    impl PatternSource for WideSource {
+        fn width(&self) -> u32 {
+            8
+        }
+        fn subtile_patterns(&mut self, _: usize, _: usize) -> Vec<u16> {
+            let mut patterns = vec![0b1011; self.rows];
+            patterns[0] = 0xFFFF;
+            patterns
+        }
+        fn rows_per_subtile(&self) -> usize {
+            self.rows
+        }
+    }
+
+    #[test]
+    fn wide_pattern_is_rejected_not_a_worker_loss() {
+        let cfg = TransArrayConfig::paper_w8();
+        let rows = cfg.n_tile() * cfg.weight_bits as usize;
+        let config = ServerConfig { workers: 1, ..Default::default() };
+        let server = Server::start(Session::new(cfg).unwrap(), config);
+        let request = GemmRequest::simulate(GemmShape::new(64, 64, 64), WideSource { rows });
+        let err = server.submit(0, request).unwrap().wait().unwrap_err();
+        let want = TaError::PatternOutOfRange { pattern: 0xFFFF, width: 8 };
         assert_eq!(err, ServeError::Rejected(RejectReason::Invalid(want)));
         let stats = server.shutdown();
         assert_eq!(stats.worker_lost + stats.respawned, 0);

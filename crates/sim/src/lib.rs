@@ -5,8 +5,6 @@
 //!
 //! * [`BenesNetwork`] — the non-blocking distribution network of the
 //!   dispatcher (§4.4), with a real looping-algorithm router;
-//! * [`Crossbar`] — bank-conflict queueing between dispatcher and prefix
-//!   buffer;
 //! * [`SramBuffer`] / [`DoubleBuffer`] — on-chip buffers with access
 //!   counting;
 //! * [`DramModel`] — shared off-chip bandwidth/energy model;
@@ -36,7 +34,6 @@
 
 mod area;
 mod benes;
-mod crossbar;
 mod dram;
 mod energy;
 mod pipeline;
@@ -45,7 +42,6 @@ mod vpu;
 
 pub use area::{baseline_area, table2, transarray_area, AreaModel, Component, SRAM_MM2_PER_KB};
 pub use benes::{BenesNetwork, BenesRouting};
-pub use crossbar::Crossbar;
 pub use dram::DramModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use pipeline::{fill_overhead, pipeline_cycles, steady_state_cycles};
@@ -102,16 +98,6 @@ mod proptests {
             // And above by the fully serialized schedule.
             let serial: u64 = tiles.iter().flatten().sum();
             prop_assert!(total <= serial);
-        }
-
-        /// Crossbar dispatch cycles equal the worst bank occupancy.
-        #[test]
-        fn crossbar_worst_occupancy(ids in proptest::collection::vec(0u32..8, 1..24)) {
-            let mut x = Crossbar::new(8);
-            let cycles = x.dispatch(&ids);
-            let mut occ = [0u64; 8];
-            for &b in &ids { occ[b as usize] += 1; }
-            prop_assert_eq!(cycles, *occ.iter().max().unwrap());
         }
     }
 }

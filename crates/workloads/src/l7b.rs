@@ -1,6 +1,6 @@
 //! The LLaMA-7B `q_proj` workload family — the bench suite's centerpiece
-//! GEMM, defined once here and consumed by `ta-bench`'s `perf` suite, the
-//! criterion benches, and the registry oracle.
+//! GEMM, defined once here and consumed by `ta-bench`'s `perf` suite and
+//! the registry oracle.
 
 use crate::Scale;
 use ta_core::{GemmShape, TransArrayConfig};
@@ -43,9 +43,8 @@ pub fn pattern_source(n_tile: usize) -> QuantGaussianSource {
     pattern_source_seeded(n_tile, PATTERN_SEED)
 }
 
-/// The layer's pattern stream at an explicit seed — the warm-replay
-/// machinery and the criterion benches replay the layer under
-/// alternate seeds without re-stating the stream's precisions.
+/// The layer's pattern stream at an explicit seed — the perf suite
+/// replays the layer without re-stating the stream's precisions.
 pub fn pattern_source_seeded(n_tile: usize, seed: u64) -> QuantGaussianSource {
     QuantGaussianSource::new(8, 8, n_tile, seed)
 }

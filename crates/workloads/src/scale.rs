@@ -17,7 +17,7 @@ impl Scale {
         Self { tiles: 16, sample_limit: 1024, accuracy_dim: 192 }
     }
 
-    /// Smoke-test settings (CI, criterion).
+    /// Smoke-test settings (CI).
     pub fn quick() -> Self {
         Self { tiles: 3, sample_limit: 96, accuracy_dim: 64 }
     }
@@ -72,7 +72,7 @@ impl Scale {
 
     /// Reads `TA_SCALE=quick|full` from the environment (default full). A
     /// `--smoke` or `--quick` CLI argument also selects [`Scale::quick`], so
-    /// `cargo run -p ta-bench --bin fig9 -- --smoke` works without env setup.
+    /// `cargo run -p ta-bench --bin all -- --smoke` works without env setup.
     /// Any other argument — and any unknown `TA_SCALE` value — is rejected:
     /// the figure binaries take nothing else, and silently ignoring a typo
     /// would run the multi-minute full-scale simulation instead of the

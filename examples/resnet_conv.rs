@@ -55,6 +55,6 @@ fn main() -> Result<(), TaError> {
             l.weight_bits
         );
     }
-    println!("  …and 15 more (see `cargo run -p ta-bench --bin fig14`)");
+    println!("  …and 15 more (see `cargo run -p ta-bench --bin all -- fig14`)");
     Ok(())
 }
