@@ -32,7 +32,9 @@ AUDITED=(
   crates/bitslice/src/im2col.rs
   crates/bitslice/src/popcount.rs
   crates/hasse/src/exec.rs
+  crates/hasse/src/scoreboard.rs
   crates/hasse/src/si.rs
+  crates/hasse/src/stats.rs
   crates/core/src/unit.rs
   crates/core/src/source.rs
   crates/core/src/accelerator.rs

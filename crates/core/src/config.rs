@@ -3,7 +3,7 @@
 //! front door.
 
 use crate::error::ConfigError;
-use ta_hasse::ScoreboardConfig;
+use ta_hasse::{ScoreboardConfig, MAX_DISTANCE};
 
 /// Which Scoreboard supplies the SI (§3.3 / §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -31,7 +31,8 @@ pub struct TransArrayConfig {
     pub units: usize,
     /// Input-tile columns `M` processed per sub-tile pass (Table 1: 32).
     pub m_tile: usize,
-    /// Scoreboard distance cap (Fig. 6 hardware: 4).
+    /// Scoreboard distance cap (Fig. 6 hardware: 4; supported range
+    /// `1..=17`).
     pub max_distance: u8,
     /// Static or dynamic SI.
     pub scoreboard_mode: ScoreboardMode,
@@ -157,6 +158,9 @@ impl TransArrayConfig {
         if !(1..=16).contains(&self.width) {
             return Err(ConfigError::WidthOutOfRange { width: self.width });
         }
+        if !(1..=MAX_DISTANCE).contains(&usize::from(self.max_distance)) {
+            return Err(ConfigError::MaxDistanceOutOfRange { max_distance: self.max_distance });
+        }
         if self.max_transrows == 0 {
             return Err(ConfigError::ZeroTransrows);
         }
@@ -178,7 +182,6 @@ impl TransArrayConfig {
         if self.m_tile == 0 {
             return Err(ConfigError::ZeroMTile);
         }
-        self.scoreboard_config();
         Ok(())
     }
 }
@@ -246,7 +249,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Scoreboard distance cap (Fig. 6 hardware: 4).
+    /// Scoreboard distance cap (Fig. 6 hardware: 4; supported range
+    /// `1..=17`).
     pub fn max_distance(mut self, max_distance: u8) -> Self {
         self.cfg.max_distance = max_distance;
         self
@@ -360,6 +364,23 @@ mod tests {
             assert_eq!(cfg.try_validate().unwrap_err(), want);
         }
         base().try_validate().unwrap();
+    }
+
+    #[test]
+    fn max_distance_outside_the_scoreboard_range_is_rejected() {
+        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+            let builder = TransArrayConfig::builder().scoreboard_mode(mode);
+            for max_distance in [0, MAX_DISTANCE as u8 + 1, 200] {
+                assert_eq!(
+                    builder.clone().max_distance(max_distance).build().unwrap_err(),
+                    ConfigError::MaxDistanceOutOfRange { max_distance },
+                    "{mode:?}"
+                );
+            }
+            for max_distance in 1..=MAX_DISTANCE as u8 {
+                builder.clone().max_distance(max_distance).build().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 use std::error::Error;
 use std::fmt;
 
+use ta_hasse::MAX_DISTANCE;
+
 /// A configuration rejected by [`crate::ConfigBuilder`] (or by
 /// [`crate::TransArrayConfig::try_validate`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +19,12 @@ pub enum ConfigError {
     WidthOutOfRange {
         /// The rejected width.
         width: u32,
+    },
+    /// Scoreboard distance cap outside `1..=`[`MAX_DISTANCE`] (17), the
+    /// range the Scoreboard supports.
+    MaxDistanceOutOfRange {
+        /// The rejected cap.
+        max_distance: u8,
     },
     /// `max_transrows` was zero.
     ZeroTransrows,
@@ -49,6 +57,9 @@ impl fmt::Display for ConfigError {
         match self {
             Self::WidthOutOfRange { width } => {
                 write!(f, "width {width} out of range: must be in 1..=16")
+            }
+            Self::MaxDistanceOutOfRange { max_distance } => {
+                write!(f, "max_distance {max_distance} out of range: must be in 1..={MAX_DISTANCE}")
             }
             Self::ZeroTransrows => write!(f, "max_transrows must be non-zero"),
             Self::IndivisibleTransrows { max_transrows, weight_bits } => write!(

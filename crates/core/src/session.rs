@@ -323,6 +323,35 @@ mod tests {
     }
 
     #[test]
+    fn session_rejects_out_of_range_max_distance() {
+        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+            for max_distance in [0, 18, 200] {
+                let cfg = TransArrayConfig { max_distance, scoreboard_mode: mode, ..small_cfg() };
+                assert_eq!(
+                    Session::new(cfg).unwrap_err(),
+                    TaError::Config(ConfigError::MaxDistanceOutOfRange { max_distance }),
+                    "{mode:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_accepted_max_distance_runs_a_simulate_request() {
+        let w = det_mat(16, 16, 4, 3);
+        let sliced = BitSlicedMatrix::slice(&w, 4);
+        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+            for max_distance in 1..=ta_hasse::MAX_DISTANCE as u8 {
+                let cfg = TransArrayConfig { max_distance, scoreboard_mode: mode, ..small_cfg() };
+                let n_tile = cfg.n_tile();
+                let session = Session::new(cfg).unwrap();
+                let source = OwnedSource { sliced: sliced.clone(), n_tile, width: 4 };
+                session.run(GemmRequest::simulate(GemmShape::new(16, 16, 8), source)).unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn execute_request_is_exact_and_unsampled() {
         let session = Session::new(small_cfg()).unwrap();
         let w = det_mat(10, 13, 4, 1);

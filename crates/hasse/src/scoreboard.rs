@@ -7,6 +7,11 @@
 //! has exactly one prefix whose result it reuses, transit (TR) stops are
 //! materialized on distance>1 paths, and trees are spread over `T` lanes
 //! by a workload counter.
+//!
+//! Every pass walks set bits (`while bits != 0`, lowest first), never
+//! every bit position, so a node costs time in proportion to its popcount
+//! (forward: to its zero bits). A test-only oracle at the end of this file
+//! pins the balance pass's candidate order and tie-breaks.
 
 use crate::graph::HasseGraph;
 use crate::node::{NodeEntry, DIST_INF, HW_MAX_DISTANCE, MAX_DISTANCE, NO_LANE};
@@ -204,7 +209,7 @@ impl Scoreboard {
 
     fn forward(&mut self) {
         let maxd = self.cfg.max_distance;
-        let width = self.cfg.width;
+        let mask = (self.graph.node_count() - 1) as u16;
         for &i in self.graph.forward_order() {
             let idx = i as usize;
             let mut dis = self.nodes[idx].distance;
@@ -222,15 +227,14 @@ impl Scoreboard {
             }
             let d = dis + 1;
             debug_assert!(d as usize <= MAX_DISTANCE);
-            for j in 0..width {
-                let bit = 1u16 << j;
-                if i & bit == 0 {
-                    let s = (i | bit) as usize;
-                    self.nodes[s].prefix_bitmaps[(d - 1) as usize] |= bit;
-                    if d < self.nodes[s].distance {
-                        self.nodes[s].distance = d;
-                    }
-                }
+            // Every immediate suffix `i | bit` is one zero bit of `i`.
+            let mut zeros = !i & mask;
+            while zeros != 0 {
+                let bit = zeros & zeros.wrapping_neg();
+                zeros &= zeros - 1;
+                let s = &mut self.nodes[(i | bit) as usize];
+                s.prefix_bitmaps[dis as usize] |= bit;
+                s.distance = s.distance.min(d);
             }
         }
     }
@@ -263,13 +267,13 @@ impl Scoreboard {
                 }
             }
             // Alg. 2 line 11: keep only the smallest-distance prefix bitmap.
+            // The forward pass never writes the slots at or above the cap.
             if dis != DIST_INF {
                 let keep = (dis - 1) as usize;
-                for (d, bm) in self.nodes[idx].prefix_bitmaps.iter_mut().enumerate() {
-                    if d != keep {
-                        *bm = 0;
-                    }
-                }
+                let bitmaps = &mut self.nodes[idx].prefix_bitmaps;
+                let kept = bitmaps[keep];
+                bitmaps[..maxd as usize].fill(0);
+                bitmaps[keep] = kept;
             }
         }
     }
@@ -278,8 +282,8 @@ impl Scoreboard {
 
     fn balance(&mut self) {
         let maxd = self.cfg.max_distance;
-        let order: Vec<u16> = self.graph.forward_order().to_vec();
-        for i in order {
+        let mask = self.graph.node_count() as u32 - 1;
+        for &i in self.graph.forward_order() {
             let idx = i as usize;
             if i == 0 || self.nodes[idx].count == 0 {
                 continue;
@@ -291,12 +295,12 @@ impl Scoreboard {
                 self.outliers.push(i);
                 continue;
             }
-            let lane = if self.graph.level(i) == 1 {
+            let lane = if i.is_power_of_two() {
                 // Roots: open each tree on the least-loaded lane (or, in
                 // the unbalanced ablation, simply on the bit's own lane).
                 self.nodes[idx].chosen_parent = 0;
                 match self.cfg.balance {
-                    BalancePolicy::WorkloadCounter => self.argmin_lane(),
+                    BalancePolicy::WorkloadCounter => argmin_lane(&self.lane_workload),
                     BalancePolicy::FirstCandidate => {
                         (i.trailing_zeros() % self.cfg.effective_lanes()) as u8
                     }
@@ -319,17 +323,14 @@ impl Scoreboard {
                 // distributing workloads among the trees"). Ties break
                 // round-robin by node value.
                 debug_assert_eq!(dis, 1);
-                let width = self.cfg.width;
                 if self.cfg.balance == BalancePolicy::FirstCandidate {
                     // Unbalanced ablation: lowest-bit active parent, no
                     // idle-lane opening.
                     let mut chosen: Option<(u16, u8)> = None;
-                    for j in 0..width {
-                        let bit = 1u16 << j;
-                        if i & bit == 0 {
-                            continue;
-                        }
-                        let parent = i & !bit;
+                    let mut rest = i;
+                    while rest != 0 {
+                        let parent = i & !(rest & rest.wrapping_neg());
+                        rest &= rest - 1;
                         let pl = self.nodes[parent as usize].lane;
                         if pl != NO_LANE {
                             chosen = Some((parent, pl));
@@ -343,47 +344,43 @@ impl Scoreboard {
                     self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
                     continue;
                 }
-                let rotation = (i as u32) % width;
-                // (candidate parent, lane, activation cost).
-                let mut best: Option<(u16, u8, u64)> = None;
-                let consider = |parent: u16,
-                                lane: u8,
-                                extra: u64,
-                                best: &mut Option<(u16, u8, u64)>,
-                                workload: &[u64]| {
-                    let score = workload[lane as usize] + extra;
-                    let better = match best {
-                        None => true,
-                        Some((_, bl, bextra)) => score < workload[*bl as usize] + *bextra,
-                    };
-                    if better {
-                        *best = Some((parent, lane, extra));
-                    }
-                };
-                for step in 0..width {
-                    let j = (rotation + step) % width;
-                    let bit = 1u16 << j;
-                    if i & bit == 0 {
-                        continue;
-                    }
-                    let parent = i & !bit;
-                    let pl = self.nodes[parent as usize].lane;
-                    if pl != NO_LANE {
-                        // Active, laned parent (present or transit stop).
-                        consider(parent, pl, 0, &mut best, &self.lane_workload);
-                    } else if parent.count_ones() == 1 && self.nodes[parent as usize].count == 0 {
-                        // Absent level-1 parent: can open the least-loaded
-                        // lane as a fresh transit root. Scored with a
-                        // penalty of 2 — the extra transit add itself plus
-                        // a net-benefit margin, so idle lanes only open
-                        // when they actually shorten the critical path
-                        // (Fig. 5's example must keep its 4+4 two-lane
-                        // forest).
-                        let lane = self.argmin_lane();
-                        consider(parent, lane, 2, &mut best, &self.lane_workload);
+                // Candidates in rotated order: set bits from `i % width` up,
+                // then those below. No load changes during the walk, so the
+                // idle lane is scanned for at most once.
+                let rotation = (i as u32) % self.cfg.width;
+                let halves =
+                    [i as u32 & mask & (mask << rotation), i as u32 & ((1 << rotation) - 1)];
+                let mut idle_lane: Option<u8> = None;
+                // (candidate parent, lane, activation cost, score).
+                let mut best: Option<(u16, u8, u64, u64)> = None;
+                for half in halves {
+                    let mut rest = half as u16;
+                    while rest != 0 {
+                        let parent = i & !(rest & rest.wrapping_neg());
+                        rest &= rest - 1;
+                        let p = &self.nodes[parent as usize];
+                        let (lane, extra) = if p.lane != NO_LANE {
+                            // Active, laned parent (present or transit stop).
+                            (p.lane, 0)
+                        } else if parent.is_power_of_two() && p.count == 0 {
+                            // Absent level-1 parent: can open the least-
+                            // loaded lane as a fresh transit root. Scored
+                            // with a penalty of 2 — the extra transit add
+                            // itself plus a net-benefit margin, so idle
+                            // lanes only open when they actually shorten
+                            // the critical path (Fig. 5's example must keep
+                            // its 4+4 two-lane forest).
+                            (*idle_lane.get_or_insert_with(|| argmin_lane(&self.lane_workload)), 2)
+                        } else {
+                            continue;
+                        };
+                        let score = self.lane_workload[lane as usize] + extra;
+                        if best.is_none_or(|(.., best_score)| score < best_score) {
+                            best = Some((parent, lane, extra, score));
+                        }
                     }
                 }
-                let (parent, lane, extra) =
+                let (parent, lane, extra, _) =
                     best.expect("distance-1 node must have an available parent");
                 if extra > 0 {
                     // Materialize the level-1 transit root.
@@ -403,25 +400,25 @@ impl Scoreboard {
         }
         // Outliers: computed from scratch (popcount adds for the first
         // occurrence, FR reuse for duplicates), least-loaded lanes.
-        let outliers = self.outliers.clone();
-        for p in outliers {
-            let lane = self.argmin_lane();
-            let idx = p as usize;
-            self.nodes[idx].lane = lane;
-            let cost = p.count_ones() as u64 + (self.nodes[idx].count as u64 - 1);
+        for &p in &self.outliers {
+            let lane = argmin_lane(&self.lane_workload);
+            let node = &mut self.nodes[p as usize];
+            node.lane = lane;
+            let cost = p.count_ones() as u64 + (node.count as u64 - 1);
             self.lane_workload[lane as usize] += cost;
         }
     }
+}
 
-    fn argmin_lane(&self) -> u8 {
-        let mut best = 0usize;
-        for (l, &w) in self.lane_workload.iter().enumerate() {
-            if w < self.lane_workload[best] {
-                best = l;
-            }
+/// The lowest-index least-loaded lane.
+fn argmin_lane(lane_workload: &[u64]) -> u8 {
+    let mut best = 0usize;
+    for (l, &w) in lane_workload.iter().enumerate() {
+        if w < lane_workload[best] {
+            best = l;
         }
-        best as u8
     }
+    best as u8
 }
 
 #[cfg(test)]
@@ -651,5 +648,379 @@ mod tests {
     #[should_panic(expected = "exceeds width")]
     fn oversized_pattern_rejected() {
         let _ = Scoreboard::build(ScoreboardConfig::with_width(4), [16u16]);
+    }
+}
+
+/// The Scoreboard passes as they stood before the set-bit walks: every bit
+/// position visited, a `% width` rotation per candidate, and a lane scan
+/// per absent level-1 parent. Kept verbatim as the reference the
+/// production passes must match entry for entry.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::{ExecutionPlan, TileStats};
+    use ta_core::PatternSource;
+    use ta_models::{splitmix64, QuantGaussianSource};
+
+    impl Scoreboard {
+        /// [`Scoreboard::build`] through the oracle passes.
+        fn build_oracle(cfg: ScoreboardConfig, patterns: impl IntoIterator<Item = u16>) -> Self {
+            cfg.validate();
+            let graph = HasseGraph::new(cfg.width);
+            let mut sb = Self {
+                cfg,
+                graph,
+                nodes: vec![NodeEntry::empty(); graph.node_count()],
+                outliers: Vec::new(),
+                lane_workload: vec![0; cfg.effective_lanes() as usize],
+                rows: 0,
+            };
+            sb.record(patterns);
+            sb.oracle_forward();
+            sb.oracle_backward();
+            sb.oracle_balance();
+            sb
+        }
+
+        // ---- Step ③: forward pass (Alg. 1) --------------------------------
+
+        fn oracle_forward(&mut self) {
+            let maxd = self.cfg.max_distance;
+            let width = self.cfg.width;
+            for &i in self.graph.forward_order() {
+                let idx = i as usize;
+                let mut dis = self.nodes[idx].distance;
+                // Alg. 1 line 7: unreachable-or-capped nodes do not propagate
+                // (note: this also bars capped *present* nodes from serving as
+                // prefixes — they are outliers).
+                if i != 0 && dis >= maxd {
+                    continue;
+                }
+                // Alg. 1 line 8: present nodes (and the origin) reset the
+                // propagated distance — they will be computed and can serve as
+                // prefixes.
+                if self.nodes[idx].count > 0 || i == 0 {
+                    dis = 0;
+                }
+                let d = dis + 1;
+                debug_assert!(d as usize <= MAX_DISTANCE);
+                for j in 0..width {
+                    let bit = 1u16 << j;
+                    if i & bit == 0 {
+                        let s = (i | bit) as usize;
+                        self.nodes[s].prefix_bitmaps[(d - 1) as usize] |= bit;
+                        if d < self.nodes[s].distance {
+                            self.nodes[s].distance = d;
+                        }
+                    }
+                }
+            }
+        }
+
+        // ---- Step ④: backward pass (Alg. 2) -------------------------------
+
+        fn oracle_backward(&mut self) {
+            let maxd = self.cfg.max_distance;
+            for &i in self.graph.forward_order().iter().rev() {
+                let idx = i as usize;
+                let dis = self.nodes[idx].distance;
+                // Alg. 2 line 5: present nodes with 1 < distance < cap trace a
+                // path to their nearest prefix through transit stops.
+                if self.nodes[idx].count > 0 && dis > 1 && dis < maxd {
+                    let bm = self.nodes[idx].prefix_bitmaps[(dis - 1) as usize];
+                    debug_assert!(bm != 0, "distance {dis} recorded but bitmap empty");
+                    // Alg. 2 line 7: only the first prefix, to avoid redundant
+                    // paths (Fig. 5's node 14 discussion).
+                    let j = bm.trailing_zeros();
+                    let parent = i & !(1u16 << j);
+                    self.nodes[idx].chosen_parent = parent;
+                    let p = parent as usize;
+                    self.nodes[p].suffix_bitmap |= 1 << j;
+                    if self.nodes[p].count == 0 {
+                        // Activate the transit (TR) stop; reverse Hamming order
+                        // guarantees it is processed after us and continues the
+                        // chain if its own distance exceeds 1.
+                        self.nodes[p].count = 1;
+                        self.nodes[p].transit = true;
+                    }
+                }
+                // Alg. 2 line 11: keep only the smallest-distance prefix bitmap.
+                if dis != DIST_INF {
+                    let keep = (dis - 1) as usize;
+                    for (d, bm) in self.nodes[idx].prefix_bitmaps.iter_mut().enumerate() {
+                        if d != keep {
+                            *bm = 0;
+                        }
+                    }
+                }
+            }
+        }
+
+        // ---- Step ⑤: balanced forest --------------------------------------
+
+        fn oracle_balance(&mut self) {
+            let maxd = self.cfg.max_distance;
+            let order: Vec<u16> = self.graph.forward_order().to_vec();
+            for i in order {
+                let idx = i as usize;
+                if i == 0 || self.nodes[idx].count == 0 {
+                    continue;
+                }
+                let dis = self.nodes[idx].distance;
+                // Present nodes beyond the cap are outliers — dispatched at the
+                // end, assigned lanes after the forest is balanced.
+                if !self.nodes[idx].transit && (dis >= maxd || dis == DIST_INF) {
+                    self.outliers.push(i);
+                    continue;
+                }
+                let lane = if self.graph.level(i) == 1 {
+                    // Roots: open each tree on the least-loaded lane (or, in
+                    // the unbalanced ablation, simply on the bit's own lane).
+                    self.nodes[idx].chosen_parent = 0;
+                    match self.cfg.balance {
+                        BalancePolicy::WorkloadCounter => self.oracle_argmin_lane(),
+                        BalancePolicy::FirstCandidate => {
+                            (i.trailing_zeros() % self.cfg.effective_lanes()) as u8
+                        }
+                    }
+                } else if self.nodes[idx].has_chosen_parent() {
+                    // Distance >1 nodes follow the path the backward pass fixed.
+                    let parent = self.nodes[idx].chosen_parent as usize;
+                    debug_assert_ne!(
+                        self.nodes[parent].lane, NO_LANE,
+                        "parent must be laned first"
+                    );
+                    self.nodes[parent].lane
+                } else {
+                    // Distance-1 nodes pick an *available* prefix whose lane is
+                    // least loaded (the workload counter + priority supervision
+                    // of §2.4 / Fig. 5 step ⑤). Candidates are (a) any already-
+                    // laned active parent — present or transit, one add either
+                    // way — and (b) for level-2 nodes, an absent level-1
+                    // parent, which can be opened as a transit root for one
+                    // extra add; this is what keeps otherwise-idle lanes busy
+                    // when a tile lacks some level-1 patterns ("select an
+                    // available prefix node for each node, thereby evenly
+                    // distributing workloads among the trees"). Ties break
+                    // round-robin by node value.
+                    debug_assert_eq!(dis, 1);
+                    let width = self.cfg.width;
+                    if self.cfg.balance == BalancePolicy::FirstCandidate {
+                        // Unbalanced ablation: lowest-bit active parent, no
+                        // idle-lane opening.
+                        let mut chosen: Option<(u16, u8)> = None;
+                        for j in 0..width {
+                            let bit = 1u16 << j;
+                            if i & bit == 0 {
+                                continue;
+                            }
+                            let parent = i & !bit;
+                            let pl = self.nodes[parent as usize].lane;
+                            if pl != NO_LANE {
+                                chosen = Some((parent, pl));
+                                break;
+                            }
+                        }
+                        let (parent, lane) =
+                            chosen.expect("distance-1 node must have an active parent");
+                        self.nodes[idx].chosen_parent = parent;
+                        self.nodes[idx].lane = lane;
+                        self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
+                        continue;
+                    }
+                    let rotation = (i as u32) % width;
+                    // (candidate parent, lane, activation cost).
+                    let mut best: Option<(u16, u8, u64)> = None;
+                    let consider = |parent: u16,
+                                    lane: u8,
+                                    extra: u64,
+                                    best: &mut Option<(u16, u8, u64)>,
+                                    workload: &[u64]| {
+                        let score = workload[lane as usize] + extra;
+                        let better = match best {
+                            None => true,
+                            Some((_, bl, bextra)) => score < workload[*bl as usize] + *bextra,
+                        };
+                        if better {
+                            *best = Some((parent, lane, extra));
+                        }
+                    };
+                    for step in 0..width {
+                        let j = (rotation + step) % width;
+                        let bit = 1u16 << j;
+                        if i & bit == 0 {
+                            continue;
+                        }
+                        let parent = i & !bit;
+                        let pl = self.nodes[parent as usize].lane;
+                        if pl != NO_LANE {
+                            // Active, laned parent (present or transit stop).
+                            consider(parent, pl, 0, &mut best, &self.lane_workload);
+                        } else if parent.count_ones() == 1 && self.nodes[parent as usize].count == 0
+                        {
+                            // Absent level-1 parent: can open the least-loaded
+                            // lane as a fresh transit root. Scored with a
+                            // penalty of 2 — the extra transit add itself plus
+                            // a net-benefit margin, so idle lanes only open
+                            // when they actually shorten the critical path
+                            // (Fig. 5's example must keep its 4+4 two-lane
+                            // forest).
+                            let lane = self.oracle_argmin_lane();
+                            consider(parent, lane, 2, &mut best, &self.lane_workload);
+                        }
+                    }
+                    let (parent, lane, extra) =
+                        best.expect("distance-1 node must have an available parent");
+                    if extra > 0 {
+                        // Materialize the level-1 transit root.
+                        let p = parent as usize;
+                        self.nodes[p].count = 1;
+                        self.nodes[p].transit = true;
+                        self.nodes[p].chosen_parent = 0;
+                        self.nodes[p].lane = lane;
+                        self.nodes[p].suffix_bitmap |= i ^ parent;
+                        self.lane_workload[lane as usize] += 1;
+                    }
+                    self.nodes[idx].chosen_parent = parent;
+                    lane
+                };
+                self.nodes[idx].lane = lane;
+                self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
+            }
+            // Outliers: computed from scratch (popcount adds for the first
+            // occurrence, FR reuse for duplicates), least-loaded lanes.
+            let outliers = self.outliers.clone();
+            for p in outliers {
+                let lane = self.oracle_argmin_lane();
+                let idx = p as usize;
+                self.nodes[idx].lane = lane;
+                let cost = p.count_ones() as u64 + (self.nodes[idx].count as u64 - 1);
+                self.lane_workload[lane as usize] += cost;
+            }
+        }
+
+        fn oracle_argmin_lane(&self) -> u8 {
+            let mut best = 0usize;
+            for (l, &w) in self.lane_workload.iter().enumerate() {
+                if w < self.lane_workload[best] {
+                    best = l;
+                }
+            }
+            best as u8
+        }
+    }
+
+    /// Builds `patterns` with the production and the oracle passes and
+    /// asserts every observable agrees; a failure names the seed, the
+    /// configuration and the multiset.
+    fn assert_matches_oracle(cfg: ScoreboardConfig, patterns: &[u16], seed: u64, kind: &str) {
+        let got = Scoreboard::build(cfg, patterns.iter().copied());
+        let want = Scoreboard::build_oracle(cfg, patterns.iter().copied());
+        let ctx = || format!("seed {seed}, {kind} multiset {patterns:?}, {cfg:?}");
+        for p in 0..got.graph().node_count() as u16 {
+            assert_eq!(got.node(p), want.node(p), "node {p}; {}", ctx());
+        }
+        assert_eq!(got.outliers(), want.outliers(), "outliers; {}", ctx());
+        assert_eq!(got.lane_workload(), want.lane_workload(), "lane workload; {}", ctx());
+        assert_eq!(got.rows(), want.rows(), "rows; {}", ctx());
+        assert_eq!(
+            TileStats::from_scoreboard(&got),
+            TileStats::from_scoreboard(&want),
+            "tile stats; {}",
+            ctx()
+        );
+        let (got, want) =
+            (ExecutionPlan::from_scoreboard(&got), ExecutionPlan::from_scoreboard(&want));
+        assert_eq!(got.lanes(), want.lanes(), "plan lanes; {}", ctx());
+        assert_eq!(got.outliers(), want.outliers(), "plan outliers; {}", ctx());
+    }
+
+    /// The seeded multisets one width is checked on.
+    fn multisets(width: u32, seed: u64) -> Vec<(&'static str, Vec<u16>)> {
+        let mask = ((1u32 << width) - 1) as u16;
+        let mut state = seed;
+        let mut next = move || {
+            state = splitmix64(state);
+            state
+        };
+        let duplicate = next() as u16 & mask;
+        // Lone high-level patterns: the full mask with up to two bits
+        // cleared, far beyond small distance caps.
+        let lone = (0..1 + next() % 3)
+            .map(|_| mask & !(1 << (next() % 16)) & !(1 << (next() % 16)))
+            .collect();
+        let uniform_len = (next() % (2 << width)).min(1024) as usize;
+        let uniform = (0..uniform_len).map(|_| next() as u16 & mask).collect();
+        // Few level-2 rows leave level-1 parents absent: the idle-lane
+        // transit roots of the balance pass.
+        let pairs = (0..1 + next() % (2 * width as u64))
+            .map(|_| (1u16 << (next() % width as u64)) | (1 << (next() % width as u64)))
+            .collect();
+        let mut source = QuantGaussianSource::new(
+            width,
+            2 + (next() % 7) as u32,
+            1 + (next() % 48) as usize,
+            seed,
+        );
+        let gaussian = source.subtile_patterns((next() % 4) as usize, (next() % 4) as usize);
+        vec![
+            ("empty", Vec::new()),
+            ("all-zero", vec![0; 1 + (next() % 8) as usize]),
+            ("duplicates", vec![duplicate; 2 + (next() % 6) as usize]),
+            ("full", (0..=mask).collect()),
+            ("lone", lone),
+            ("uniform", uniform),
+            ("level-2", pairs),
+            ("gaussian", gaussian),
+        ]
+    }
+
+    fn check_width(width: u32, seeds: u64, max_distances: &[u8], lanes: &[u32]) {
+        for s in 0..seeds {
+            let seed = (u64::from(width) << 32) | s;
+            for (kind, patterns) in multisets(width, seed) {
+                for &max_distance in max_distances {
+                    for balance in [BalancePolicy::WorkloadCounter, BalancePolicy::FirstCandidate] {
+                        for &lanes in lanes {
+                            let cfg = ScoreboardConfig { width, max_distance, lanes, balance };
+                            assert_matches_oracle(cfg, &patterns, seed, kind);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_bit_walks_match_the_oracle() {
+        for width in 1..=12 {
+            let max_distances: Vec<u8> = (1..=width as u8 + 1).collect();
+            let seeds = if width <= 8 { 4 } else { 1 };
+            check_width(width, seeds, &max_distances, &[0, 1, 2, 3, width + 1]);
+        }
+    }
+
+    #[test]
+    fn set_bit_walks_match_the_oracle_at_width_16() {
+        // No cap of 1 here: it makes all 65,535 rows of the full set
+        // outliers, and the plan's per-node outlier lookup goes quadratic.
+        check_width(16, 1, &[2, HW_MAX_DISTANCE, MAX_DISTANCE as u8], &[0, 3]);
+    }
+
+    #[test]
+    fn rotation_breaks_a_tie_between_equally_loaded_parents() {
+        // T = 4: node 0110 starts its candidate walk at bit 6 % 4 = 2, above
+        // its lowest set bit, so it visits parent 0010 before 0100. Both
+        // roots sit alone on their own lane with load 1; the strict `<`
+        // keeps the first visited. A lowest-bit-first walk would take 0100.
+        let cfg = ScoreboardConfig::with_width(4);
+        let sb = Scoreboard::build(cfg, [0b0010u16, 0b0100, 0b0110]);
+        let (lane2, lane4) = (sb.node(0b0010).lane, sb.node(0b0100).lane);
+        assert_ne!(lane2, lane4);
+        assert_eq!(sb.node(0b0110).chosen_parent, 0b0010);
+        assert_eq!(sb.node(0b0110).lane, lane2);
+        assert_eq!(sb.lane_workload()[lane2 as usize], 2);
+        assert_eq!(sb.lane_workload()[lane4 as usize], 1);
+        assert_matches_oracle(cfg, &[0b0010, 0b0100, 0b0110], 0, "tie");
     }
 }
