@@ -32,6 +32,7 @@ AUDITED=(
   crates/bitslice/src/im2col.rs
   crates/bitslice/src/popcount.rs
   crates/hasse/src/exec.rs
+  crates/hasse/src/plan_cache.rs
   crates/hasse/src/scoreboard.rs
   crates/hasse/src/si.rs
   crates/hasse/src/stats.rs

@@ -21,9 +21,9 @@
 //! contend when they land in the same shard. Within a shard, recency is
 //! **CLOCK** (second-chance), not LRU: a hit sets an atomic referenced
 //! bit instead of relinking a recency list, so the hit path needs only a
-//! shard **read** lock plus one relaxed atomic store — warm replay never
-//! takes a write path, and readers of the same shard proceed in
-//! parallel. Only misses (which insert) and evictions take a shard write
+//! shard **read** lock plus a relaxed atomic store when the bit is clear
+//! (none for an entry already referenced) — warm replay never takes a
+//! write path, and readers of the same shard proceed in parallel. Only misses (which insert) and evictions take a shard write
 //! lock. Aggregate counters ([`SharedPlanCache::stats`]) are folded
 //! across shards, so callers see the same hit/miss/eviction/insertion
 //! totals a single-table cache would report.
@@ -38,7 +38,7 @@ use crate::exec::ExecutionPlan;
 use crate::scoreboard::{BalancePolicy, Scoreboard, ScoreboardConfig};
 use crate::si::StaticTileReport;
 use crate::stats::TileStats;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -52,8 +52,15 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWrite
 /// distance cap, lane count, balance policy, and (for static mode) the
 /// same SI table instance. Zero rows participate: they change row counts,
 /// Scoreboard scan cycles, and densities.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key is hashed once, when it is built, and carries that hash as its
+/// first field: [`Hash`] writes only it, shard routing masks it, and
+/// equality compares it before anything else, so a lookup never re-walks
+/// the multiset to hash it and a mismatch usually fails on one `u64`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
+    /// Hash of every other field, computed once by [`PlanKey::new`].
+    hash: u64,
     width: u32,
     max_distance: u8,
     lanes: u32,
@@ -73,30 +80,45 @@ impl PlanKey {
     /// evaluated against a shared static table (its chains change the
     /// result), `None` for dynamic-mode plans.
     ///
+    /// The multiset is sorted by an LSD radix sort (one 256-bucket
+    /// counting pass per byte of the width), then run-length encoded and
+    /// hashed in the same walk.
+    ///
     /// # Panics
     ///
     /// Panics if a pattern exceeds `cfg.width`.
     pub fn new(cfg: &ScoreboardConfig, si_token: Option<u64>, patterns: &[u16]) -> Self {
-        let mut sorted: Vec<u16> = patterns.to_vec();
-        sorted.sort_unstable();
-        if let Some(&max) = sorted.last() {
+        if let Some(max) = patterns.iter().copied().max() {
             assert!(
                 (max as u32) < (1u32 << cfg.width),
                 "pattern {max:#b} exceeds width {}",
                 cfg.width
             );
         }
-        let mut entries: Vec<(u16, u32)> = Vec::new();
-        for p in sorted {
-            match entries.last_mut() {
-                Some((last, count)) if *last == p => *count += 1,
-                _ => entries.push((p, 1)),
-            }
+        let lanes = cfg.effective_lanes();
+        let mut hash = fold(
+            0,
+            u64::from(cfg.width)
+                | u64::from(cfg.max_distance) << 32
+                | (cfg.balance as u64) << 40
+                | u64::from(si_token.is_some()) << 48,
+        );
+        hash = fold(fold(hash, u64::from(lanes)), si_token.unwrap_or(0));
+        let sorted = radix_sorted(patterns, cfg.width);
+        let mut entries: Vec<(u16, u32)> =
+            Vec::with_capacity(sorted.len().min(1 << cfg.width.min(16)));
+        let mut rest = &sorted[..];
+        while let Some(&p) = rest.first() {
+            let run = rest.iter().take_while(|&&q| q == p).count();
+            entries.push((p, run as u32));
+            hash = fold(hash, u64::from(p) | (run as u64) << 16);
+            rest = &rest[run..];
         }
         Self {
+            hash: avalanche(hash),
             width: cfg.width,
             max_distance: cfg.max_distance,
-            lanes: cfg.effective_lanes(),
+            lanes,
             balance: cfg.balance,
             si_token,
             entries: entries.into_boxed_slice(),
@@ -107,6 +129,58 @@ impl PlanKey {
     pub fn rows(&self) -> usize {
         self.entries.iter().map(|&(_, c)| c as usize).sum()
     }
+}
+
+impl Hash for PlanKey {
+    /// Writes only the carried hash: equal keys carry equal hashes, since
+    /// it is a function of the fields equality compares.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// One step of the key hash: an invertible mix of `word` into `h`, so two
+/// equally long sequences differing in one word never collide (the final
+/// [`avalanche`] is invertible too).
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Final mix (MurmurHash3's `fmix64`) so the low bits that route shards
+/// depend on every input bit.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// `patterns` in ascending order, by a stable LSD radix sort over the
+/// bytes the width covers: one 256-bucket counting pass per byte (one at
+/// T ≤ 8, two at T ≤ 16). Patterns must fit `width`.
+fn radix_sorted(patterns: &[u16], width: u32) -> Vec<u16> {
+    let mut sorted = patterns.to_vec();
+    let mut spare = vec![0u16; patterns.len()];
+    let bytes = width.min(16).div_ceil(8);
+    for shift in (0..bytes).map(|byte| 8 * byte) {
+        let digit = |p: u16| usize::from((p >> shift) as u8);
+        let mut starts = [0usize; 256];
+        for &p in &sorted {
+            starts[digit(p)] += 1;
+        }
+        let mut next = 0;
+        for start in &mut starts {
+            (*start, next) = (next, next + *start);
+        }
+        for &p in &sorted {
+            let slot = &mut starts[digit(p)];
+            spare[*slot] = p;
+            *slot += 1;
+        }
+        std::mem::swap(&mut sorted, &mut spare);
+    }
+    sorted
 }
 
 /// A memoized post-scoreboard plan — everything about a sub-tile that
@@ -260,9 +334,9 @@ struct Slot {
 /// post-scoreboard plans, with CLOCK (second-chance) eviction.
 ///
 /// CLOCK keeps the hit path **touch-free**: [`PlanCache::get`] takes
-/// `&self` and mutates nothing but two relaxed atomics (the hit counter
-/// and the slot's referenced bit), so a shared wrapper can serve hits
-/// under a read lock. Eviction sweeps a clock hand over the slot slab:
+/// `&self` and mutates nothing but relaxed atomics (the hit counter, and
+/// the slot's referenced bit when it is clear), so a shared wrapper can
+/// serve hits under a read lock. Eviction sweeps a clock hand over the slot slab:
 /// a referenced slot gets its bit cleared and a second chance; the first
 /// unreferenced slot is the victim (the sweep terminates within two
 /// laps). An entry that was hit since the last sweep therefore survives
@@ -337,12 +411,17 @@ impl PlanCache {
     ///
     /// Takes `&self`: the hit path performs no structural mutation, so
     /// concurrent readers (behind a shard read lock) proceed in parallel.
+    /// The referenced bit is stored only when it is clear, so repeated
+    /// hits on a hot entry read its slot without writing it.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
         match self.map.get(key) {
             Some(&slot) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.slots[slot].referenced.store(true, Ordering::Relaxed);
-                Some(Arc::clone(&self.slots[slot].value))
+                let slot = &self.slots[slot];
+                if !slot.referenced.load(Ordering::Relaxed) {
+                    slot.referenced.store(true, Ordering::Relaxed);
+                }
+                Some(Arc::clone(&slot.value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -352,25 +431,30 @@ impl PlanCache {
     }
 
     /// Inserts (or refreshes) `key → value`, evicting via the CLOCK
-    /// sweep when full.
+    /// sweep when full. The map is probed once for `key`, and the key is
+    /// cloned once, into its slot, only when it is fresh.
     ///
     /// Fresh entries start with the referenced bit **clear**: an entry
     /// earns its second chance by being hit, so a burst of one-shot keys
     /// cycles through without displacing the warm working set.
     pub fn insert(&mut self, key: PlanKey, value: Arc<CachedPlan>) {
-        if let Some(&slot) = self.map.get(&key) {
-            // Concurrent workers can race a miss: both compute, both
-            // insert. Results are identical by construction; keep the
-            // newer value and refresh recency.
-            let s = &mut self.slots[slot];
-            s.value = value;
-            s.referenced.store(true, Ordering::Relaxed);
-            return;
-        }
+        let vacant = match self.map.entry(key) {
+            Entry::Occupied(cached) => {
+                // Concurrent workers can race a miss: both compute, both
+                // insert. Results are identical by construction; keep the
+                // newer value and refresh recency.
+                let s = &mut self.slots[*cached.get()];
+                s.value = value;
+                *s.referenced.get_mut() = true;
+                return;
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
+        let slot = Slot { key: vacant.key().clone(), value, referenced: AtomicBool::new(false) };
+        self.insertions += 1;
         if self.slots.len() < self.capacity {
-            self.slots.push(Slot { key: key.clone(), value, referenced: AtomicBool::new(false) });
-            self.map.insert(key, self.slots.len() - 1);
-            self.insertions += 1;
+            vacant.insert(self.slots.len());
+            self.slots.push(slot);
             return;
         }
         // CLOCK sweep: clear-and-skip referenced slots; the first
@@ -379,28 +463,28 @@ impl PlanCache {
         let victim = loop {
             let hand = self.hand;
             self.hand = (self.hand + 1) % self.capacity;
-            if !self.slots[hand].referenced.swap(false, Ordering::Relaxed) {
+            if !std::mem::take(self.slots[hand].referenced.get_mut()) {
                 break hand;
             }
         };
-        self.map.remove(&self.slots[victim].key);
-        self.slots[victim] = Slot { key: key.clone(), value, referenced: AtomicBool::new(false) };
-        self.map.insert(key, victim);
+        vacant.insert(victim);
+        let evicted = std::mem::replace(&mut self.slots[victim], slot);
+        self.map.remove(&evicted.key);
         self.evictions += 1;
-        self.insertions += 1;
     }
 }
 
 /// Thread-safe, **sharded** [`PlanCache`] the tile-execution runtime's
 /// workers (and `Session::run_batch` requests) share.
 ///
-/// Keys are routed to a power-of-two number of shards by a deterministic
-/// hash of the canonical [`PlanKey`] (so every permutation of a multiset
-/// routes identically). Each shard is an independent `RwLock<PlanCache>`:
+/// Keys are routed to a power-of-two number of shards by the hash the
+/// canonical [`PlanKey`] carries (so every permutation of a multiset
+/// routes identically, and routing hashes nothing). Each shard is an
+/// independent `RwLock<PlanCache>`:
 ///
-/// * a **hit** takes one shard *read* lock plus one relaxed atomic store
-///   (the CLOCK referenced bit) — concurrent hits, even on the same
-///   shard, never serialize against each other;
+/// * a **hit** takes one shard *read* lock and sets the CLOCK referenced
+///   bit if it is clear — concurrent hits, even on the same shard, never
+///   serialize against each other;
 /// * a **miss** still builds the plan **outside** any lock, then takes
 ///   one shard *write* lock to insert; two workers may race the same
 ///   miss and insert identical values (harmless by construction);
@@ -482,14 +566,12 @@ impl SharedPlanCache {
         self.shards.len()
     }
 
-    /// The shard index `key` routes to — deterministic per key within
-    /// one process build, and identical for every permutation of a
-    /// multiset (the canonical [`PlanKey`] is hashed, not the raw
-    /// pattern slice).
+    /// The shard index `key` routes to: the low bits of the hash the
+    /// key carries — deterministic per key, and identical for every
+    /// permutation of a multiset (the canonical [`PlanKey`] is hashed,
+    /// not the raw pattern slice).
     pub fn shard_for(&self, key: &PlanKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (self.shards.len() - 1)
+        (key.hash as usize) & (self.shards.len() - 1)
     }
 
     // A worker that panicked mid-insert cannot leave a shard in a state
@@ -580,24 +662,30 @@ mod tests {
 
     #[test]
     fn key_is_config_sensitive() {
-        let patterns = [1u16, 3, 7];
-        let base = ScoreboardConfig::with_width(4);
-        let k = PlanKey::new(&base, None, &patterns);
-        let widened = PlanKey::new(&ScoreboardConfig::with_width(5), None, &patterns);
-        assert_ne!(k, widened);
-        let capped = PlanKey::new(&ScoreboardConfig { max_distance: 2, ..base }, None, &patterns);
-        assert_ne!(k, capped);
-        let laned = PlanKey::new(&ScoreboardConfig { lanes: 2, ..base }, None, &patterns);
-        assert_ne!(k, laned);
-        let unbalanced = PlanKey::new(
-            &ScoreboardConfig { balance: BalancePolicy::FirstCandidate, ..base },
-            None,
-            &patterns,
-        );
-        assert_ne!(k, unbalanced);
-        let static_mode = PlanKey::new(&base, Some(7), &patterns);
-        assert_ne!(k, static_mode);
-        assert_ne!(static_mode, PlanKey::new(&base, Some(8), &patterns));
+        for width in [1u32, 4, 8, 9, 16] {
+            let base = ScoreboardConfig::with_width(width);
+            let patterns: Vec<u16> = (0..40u16).map(|i| i & ((1u32 << width) - 1) as u16).collect();
+            let k = PlanKey::new(&base, None, &patterns);
+            let variants = [
+                PlanKey::new(&ScoreboardConfig { width: width + 1, ..base }, None, &patterns),
+                PlanKey::new(&ScoreboardConfig { max_distance: 2, ..base }, None, &patterns),
+                PlanKey::new(&ScoreboardConfig { lanes: width + 1, ..base }, None, &patterns),
+                PlanKey::new(
+                    &ScoreboardConfig { balance: BalancePolicy::FirstCandidate, ..base },
+                    None,
+                    &patterns,
+                ),
+                PlanKey::new(&base, Some(0), &patterns),
+                PlanKey::new(&base, Some(1), &patterns),
+            ];
+            for (i, v) in variants.iter().enumerate() {
+                assert_eq!(v.entries, k.entries, "width {width}: variant {i} shares the multiset");
+                assert_ne!(*v, k, "width {width}: variant {i} must not equal the base key");
+                for w in &variants[i + 1..] {
+                    assert_ne!(v, w, "width {width}: variants must differ pairwise");
+                }
+            }
+        }
     }
 
     #[test]
@@ -610,6 +698,101 @@ mod tests {
     #[should_panic(expected = "exceeds width")]
     fn key_rejects_oversized_patterns() {
         let _ = key(&[16]);
+    }
+
+    /// The key builder before the radix sort: a comparison sort, then a
+    /// run-length encoding into a growing vector.
+    fn sorted_rle(patterns: &[u16]) -> Vec<(u16, u32)> {
+        let mut sorted = patterns.to_vec();
+        sorted.sort_unstable();
+        let mut entries: Vec<(u16, u32)> = Vec::new();
+        for p in sorted {
+            match entries.last_mut() {
+                Some((last, count)) if *last == p => *count += 1,
+                _ => entries.push((p, 1)),
+            }
+        }
+        entries
+    }
+
+    /// Seeded multisets at `width`: the edge shapes plus random ones.
+    fn seeded_multisets(width: u32, seed: u64) -> Vec<Vec<u16>> {
+        let mask = ((1u32 << width) - 1) as u16;
+        let mut state = seed;
+        let mut next = move || {
+            state = ta_models::splitmix64(state);
+            state
+        };
+        let identical = next() as u16 & mask;
+        let mut sets = vec![
+            Vec::new(),
+            vec![0; 1 + (next() % 300) as usize],
+            vec![identical; 1 + (next() % 300) as usize],
+            vec![mask; 3],
+            (0..=mask.min(4095)).rev().collect(),
+        ];
+        for _ in 0..4 {
+            let len = (next() % 700) as usize;
+            // A narrow value range forces long runs; a full one, short.
+            let range = if next() % 2 == 0 { mask } else { mask.min(7) };
+            sets.push((0..len).map(|_| next() as u16 & range).collect());
+        }
+        sets
+    }
+
+    /// Seeded Fisher-Yates, so a failing permutation is reproducible.
+    fn shuffled(patterns: &[u16], seed: u64) -> Vec<u16> {
+        let mut out = patterns.to_vec();
+        let mut state = seed;
+        for i in (1..out.len()).rev() {
+            state = ta_models::splitmix64(state);
+            out.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        out
+    }
+
+    #[test]
+    fn radix_key_entries_match_the_sorted_run_length_encoding() {
+        for width in 1..=16 {
+            let cfg = ScoreboardConfig::with_width(width);
+            for seed in 0..4 {
+                for patterns in seeded_multisets(width, (u64::from(width) << 8) | seed) {
+                    let key = PlanKey::new(&cfg, None, &patterns);
+                    assert_eq!(
+                        &key.entries[..],
+                        &sorted_rle(&patterns)[..],
+                        "width {width}, seed {seed}, multiset {patterns:?}"
+                    );
+                    assert_eq!(key.rows(), patterns.len());
+                }
+            }
+        }
+        // The second pass carries the high byte: 0xFFFF sorts last.
+        let wide = [0xFFFFu16, 0x00FF, 0xFF00, 0, 0xFFFF, 0x0100];
+        assert_eq!(
+            &PlanKey::new(&ScoreboardConfig::with_width(16), None, &wide).entries[..],
+            &[(0, 1), (0x00FF, 1), (0x0100, 1), (0xFF00, 1), (0xFFFF, 2)]
+        );
+    }
+
+    #[test]
+    fn equal_keys_hash_and_route_alike_under_row_permutations() {
+        use std::hash::BuildHasher;
+        let state = std::collections::hash_map::RandomState::new();
+        let caches: Vec<SharedPlanCache> =
+            [1, 2, 8, 64].iter().map(|&n| SharedPlanCache::with_shards(1024, n)).collect();
+        for width in 1..=16 {
+            let cfg = ScoreboardConfig::with_width(width);
+            for patterns in seeded_multisets(width, u64::from(width)) {
+                let original = PlanKey::new(&cfg, Some(9), &patterns);
+                let permuted = PlanKey::new(&cfg, Some(9), &shuffled(&patterns, width.into()));
+                assert_eq!(original, permuted, "width {width}, multiset {patterns:?}");
+                assert_eq!(state.hash_one(&original), state.hash_one(&permuted));
+                for cache in &caches {
+                    assert_eq!(cache.shard_for(&original), cache.shard_for(&permuted));
+                }
+            }
+        }
     }
 
     #[test]

@@ -175,9 +175,15 @@ impl Scoreboard {
         &self.outliers
     }
 
-    /// Whether `pattern` is an outlier.
+    /// Whether `pattern` is an outlier: a present (not transit) node at
+    /// or beyond the distance cap — the condition the balance pass pushes
+    /// [`Scoreboard::outliers`] under, read from the node in O(1).
     pub fn is_outlier(&self, pattern: u16) -> bool {
-        self.outliers.contains(&pattern)
+        pattern != 0
+            && self
+                .nodes
+                .get(pattern as usize)
+                .is_some_and(|n| n.count > 0 && !n.transit && n.distance >= self.cfg.max_distance)
     }
 
     /// Final per-lane workload counters (PPE op counts used for balance).
@@ -921,6 +927,13 @@ mod oracle {
             assert_eq!(got.node(p), want.node(p), "node {p}; {}", ctx());
         }
         assert_eq!(got.outliers(), want.outliers(), "outliers; {}", ctx());
+        let mut listed = vec![false; got.graph().node_count()];
+        for &p in want.outliers() {
+            listed[p as usize] = true;
+        }
+        for (p, &listed) in listed.iter().enumerate() {
+            assert_eq!(got.is_outlier(p as u16), listed, "is_outlier({p}); {}", ctx());
+        }
         assert_eq!(got.lane_workload(), want.lane_workload(), "lane workload; {}", ctx());
         assert_eq!(got.rows(), want.rows(), "rows; {}", ctx());
         assert_eq!(
@@ -1002,9 +1015,18 @@ mod oracle {
 
     #[test]
     fn set_bit_walks_match_the_oracle_at_width_16() {
-        // No cap of 1 here: it makes all 65,535 rows of the full set
-        // outliers, and the plan's per-node outlier lookup goes quadratic.
-        check_width(16, 1, &[2, HW_MAX_DISTANCE, MAX_DISTANCE as u8], &[0, 3]);
+        // A cap of 1 makes all 65,535 rows of the full set outliers.
+        check_width(16, 1, &[1, 2, HW_MAX_DISTANCE, MAX_DISTANCE as u8], &[0, 3]);
+    }
+
+    #[test]
+    fn is_outlier_reads_the_entry_and_rejects_out_of_range_patterns() {
+        // Cap 2 at T = 4: 0111 (distance 3, twice) is the one outlier.
+        let cfg = ScoreboardConfig { max_distance: 2, ..ScoreboardConfig::with_width(4) };
+        let sb = Scoreboard::build(cfg, [0b0111u16, 0b0111, 0b1000]);
+        assert_eq!(sb.outliers(), &[0b0111]);
+        assert!(sb.is_outlier(0b0111) && !sb.is_outlier(0b1000) && !sb.is_outlier(0));
+        assert!(!sb.is_outlier(16) && !sb.is_outlier(u16::MAX), "beyond the width");
     }
 
     #[test]
