@@ -602,9 +602,9 @@ pub fn run_suite(
 /// replay passes of the engine's per-sub-tile work: pattern staging
 /// (`subtile_patterns_into` into a reused buffer, as the execute path's
 /// worker loop does) + `evaluate_into` (dynamic) +
-/// `evaluate_tile_functional_into` (static) + the fused per-row
-/// accumulation. A healthy engine measures exactly `0.0` allocations per
-/// sub-tile evaluation.
+/// `evaluate_tile_functional_into` (static) + the engine's per-weight-row
+/// recombination (`ExecScratch::recombine`). A healthy engine measures
+/// exactly `0.0` allocations per sub-tile evaluation.
 ///
 /// Deliberately **excluded**: Scoreboard/plan construction and plan-cache
 /// key building — those allocate by design (a fresh plan is built once
@@ -636,7 +636,6 @@ fn measure_exec_allocs() -> f64 {
             plans.push(ExecutionPlan::from_scoreboard(&sb));
         }
     }
-    let rows_per_tile = src.rows_per_subtile();
     let si = StaticSi::from_patterns(cfg.scoreboard_config(), all_patterns);
 
     let mut staged = RowMajor::<i64>::zeros(k_chunks * t, M);
@@ -645,28 +644,23 @@ fn measure_exec_allocs() -> f64 {
             *v = (r as i64 * 31 + c as i64 * 7) % 41 - 20;
         }
     }
-    let mut acc = RowMajor::<i64>::zeros(rows_per_tile, M);
+    let s_bits = cfg.weight_bits as usize;
+    let mut acc = RowMajor::<i64>::zeros(cfg.n_tile(), M);
     let mut scratch = ExecScratch::new();
     let mut patterns: Vec<u16> = Vec::new();
 
     // One pass = the execute path's per-worker steady state: re-stage each
     // sub-tile's patterns through the production source path, then run
-    // both engines with the fused accumulation.
+    // both engines with the engine's recombination.
     let mut pass = |scratch: &mut ExecScratch, acc: &mut RowMajor<i64>, patterns: &mut Vec<u16>| {
         for (i, plan) in plans.iter().enumerate() {
             let (nt, kc) = (i / k_chunks, i % k_chunks);
             src.subtile_patterns_into(nt, kc, patterns);
             let inputs: TileView<'_> = staged.view_rows(kc * t, t);
-            // Dynamic engine + fused accumulate.
+            // Dynamic engine + recombination.
             plan.evaluate_into(inputs, scratch, &mut NullSink);
-            for (r, &p) in patterns.iter().enumerate() {
-                if p == 0 {
-                    continue;
-                }
-                let result = scratch.result(p).expect("pattern computed");
-                for (a, &v) in acc.row_mut(r).iter_mut().zip(result) {
-                    *a += v;
-                }
+            for (n, planes) in patterns.chunks_exact(s_bits).enumerate() {
+                scratch.recombine(acc.row_mut(n), planes);
             }
             // Static engine (chain materialization path).
             si.evaluate_tile_functional_into(patterns, inputs, scratch, &mut NullSink);

@@ -290,25 +290,98 @@ pub fn add_selected_rows(dst: &mut [i64], inputs: TileView<'_>, mut bits: u16) {
     }
 }
 
-/// `dst[i] += w * src[i]`, four elements per iteration — the weighted
-/// bit-plane accumulation of the output stage (`w = ±2^level`).
+/// `slab[node] = slab[prefix] + Σ inputs[j]` over the set bits `j` of
+/// `bits`, where slot `p` is `slab[p·m..(p+1)·m]` — the PPE's
+/// prefix-derive op. The first one or two selected rows are fused
+/// into the prefix copy, so a single-bit diff (every in-forest op) is one
+/// read-read-write pass; further rows are added two at a time through
+/// [`add_selected_rows`]. The destination's previous contents are never
+/// read, so a dirty reused slot needs no clearing.
 ///
 /// # Panics
 ///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(dst: &mut [i64], w: i64, src: &[i64]) {
-    assert_eq!(dst.len(), src.len(), "axpy: length mismatch");
-    let mut d = dst.chunks_exact_mut(4);
-    let mut s = src.chunks_exact(4);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        dc[0] += w * sc[0];
-        dc[1] += w * sc[1];
-        dc[2] += w * sc[2];
-        dc[3] += w * sc[3];
+/// Panics if `prefix == node`, either slot lies outside `slab`, a
+/// selected row index is `>= inputs.rows()`, or a selected row's length
+/// is not `m`.
+pub fn derive_slot(
+    slab: &mut [i64],
+    m: usize,
+    prefix: usize,
+    node: usize,
+    inputs: TileView<'_>,
+    mut bits: u16,
+) {
+    assert_ne!(prefix, node, "derive_slot: a slot cannot derive from itself");
+    let (dst, base) = if prefix < node {
+        let (lo, hi) = slab.split_at_mut(node * m);
+        (&mut hi[..m], &lo[prefix * m..(prefix + 1) * m])
+    } else {
+        let (lo, hi) = slab.split_at_mut(prefix * m);
+        (&mut lo[node * m..(node + 1) * m], &hi[..m])
+    };
+    if bits == 0 {
+        dst.copy_from_slice(base);
+        return;
     }
-    for (a, &x) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *a += w * x;
+    let a = inputs.row(bits.trailing_zeros() as usize);
+    bits &= bits - 1;
+    assert_eq!(a.len(), m, "derive_slot: input row length mismatch");
+    if bits == 0 {
+        for ((d, &p), &x) in dst.iter_mut().zip(base).zip(a) {
+            *d = p + x;
+        }
+        return;
+    }
+    let b = inputs.row(bits.trailing_zeros() as usize);
+    bits &= bits - 1;
+    for (((d, &p), &x), &y) in dst.iter_mut().zip(base).zip(a).zip(b) {
+        *d = p + x + y;
+    }
+    add_selected_rows(dst, inputs, bits);
+}
+
+/// Columns per register-resident Horner block of [`recombine_planes`].
+const RECOMBINE_LANES: usize = 8;
+
+/// `dst[i] += −slab[planes[S−1]][i]·2^(S−1) + Σ_{s<S−1} slab[planes[s]][i]·2^s`
+/// for `S = planes.len()`, where slot `p` is `slab[p·m..(p+1)·m]` and
+/// `m = dst.len()` — the APE's shift-accumulate of one weight row's
+/// 2's-complement bit planes (plane `S−1` is the sign plane).
+///
+/// Multiply-free Horner form: start from the negated sign plane, then
+/// double and add each lower plane down to plane 0, and add the result
+/// onto `dst` once. Columns go in fixed-size blocks whose running sums
+/// stay in registers while every plane streams through them; the
+/// sub-block tail runs the same recurrence per element. A zero plane is
+/// passed as a slot that holds zeros (slot 0 of the pattern-result slab).
+///
+/// # Panics
+///
+/// Panics if `planes` is empty or a slot lies outside `slab`.
+pub fn recombine_planes(dst: &mut [i64], slab: &[i64], planes: &[u16]) {
+    let (&sign, lower) = planes.split_last().expect("recombine_planes: no planes");
+    let m = dst.len();
+    let slot = |p: u16| &slab[p as usize * m..][..m];
+    let mut blocks = dst.chunks_exact_mut(RECOMBINE_LANES);
+    let mut c0 = 0;
+    for out in &mut blocks {
+        let col = |p: u16| -> &[i64; RECOMBINE_LANES] {
+            slot(p)[c0..c0 + RECOMBINE_LANES].try_into().expect("block is RECOMBINE_LANES long")
+        };
+        let mut h = col(sign).map(|x| -x);
+        for &p in lower.iter().rev() {
+            for (a, &x) in h.iter_mut().zip(col(p)) {
+                *a = (*a << 1) + x;
+            }
+        }
+        for (d, &a) in out.iter_mut().zip(&h) {
+            *d += a;
+        }
+        c0 += RECOMBINE_LANES;
+    }
+    for (c, d) in (c0..).zip(blocks.into_remainder()) {
+        let h = lower.iter().rev().fold(-slot(sign)[c], |a, &p| (a << 1) + slot(p)[c]);
+        *d += h;
     }
 }
 
@@ -403,6 +476,101 @@ mod tests {
             let scalar: u64 =
                 a.iter().zip(&b).map(|(&x, &y)| u64::from((x ^ y).count_ones())).sum();
             assert_eq!(xor_popcount_words(&a, &b), scalar, "len {len}");
+        }
+    }
+
+    /// Largest slab magnitude the exact engine produces: 16 inputs of
+    /// 16-bit activations summed into one pattern result.
+    const SLAB_MAX: i64 = 16 << 15;
+
+    /// `m` values covering the column-block edges of [`recombine_planes`]
+    /// and the kernels' tails.
+    const MS: [usize; 9] = [0, 1, 3, 4, 5, 63, 64, 65, 257];
+
+    /// Deterministic values with the extremes `±bound` on every fourth
+    /// element each way.
+    fn extreme_values(len: usize, bound: i64, salt: u64) -> Vec<i64> {
+        (0..len)
+            .map(|i| {
+                let h = (i as u64 ^ salt.wrapping_mul(0x9E3779B97F4A7C15))
+                    .wrapping_mul(0xBF58476D1CE4E5B9)
+                    .rotate_left(29);
+                match h % 4 {
+                    0 => bound,
+                    1 => -bound,
+                    _ => (h >> 8) as i64 % (2 * bound + 1) - bound,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn derive_slot_matches_scalar() {
+        const SLOTS: usize = 20;
+        let masks = [0u16, 1 << 5, (1 << 3) | (1 << 11), u16::MAX];
+        // Prefix below the node, above it, and the zero slot (outliers).
+        let pairs = [(2usize, 7usize), (17, 4), (0, 19)];
+        for m in MS {
+            let staged = extreme_values(16 * m, 1 << 15, m as u64);
+            let inputs = TileView::new(&staged, 16, m, m);
+            // One dirty slab reused across every case.
+            let mut slab = extreme_values(SLOTS * m, SLAB_MAX, 7);
+            for bits in masks {
+                for (prefix, node) in pairs {
+                    let before = slab.clone();
+                    derive_slot(&mut slab, m, prefix, node, inputs, bits);
+                    let mut want = before.clone();
+                    for i in 0..m {
+                        let mut v = before[prefix * m + i];
+                        for j in 0..16 {
+                            if bits & (1 << j) != 0 {
+                                v += inputs.row(j)[i];
+                            }
+                        }
+                        want[node * m + i] = v;
+                    }
+                    assert_eq!(slab, want, "m {m} bits {bits:#x} prefix {prefix} node {node}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot derive from itself")]
+    fn derive_slot_rejects_self_prefix() {
+        let staged = [1i64];
+        derive_slot(&mut [0; 4], 1, 2, 2, TileView::new(&staged, 1, 1, 1), 1);
+    }
+
+    #[test]
+    fn recombine_planes_matches_scalar() {
+        for s_bits in 2..=16usize {
+            for m in MS {
+                // Slot 0 is the zero slot; slots 1..=s_bits hold extreme
+                // plane results, and the sign plane's is always set.
+                let mut slab = extreme_values((s_bits + 1) * m, SLAB_MAX, s_bits as u64);
+                slab[..m].fill(0);
+                // Every third plane below the sign plane is a zero plane.
+                let planes: Vec<u16> = (0..s_bits)
+                    .map(|s| if s + 1 < s_bits && s % 3 == 1 { 0 } else { s as u16 + 1 })
+                    .collect();
+                let dst0 = extreme_values(m, SLAB_MAX << 16, 99); // dirty
+                let mut want = dst0.clone();
+                for (s, &p) in planes.iter().enumerate() {
+                    let w = if s + 1 == s_bits { -(1i64 << s) } else { 1i64 << s };
+                    for (d, &x) in want.iter_mut().zip(&slab[p as usize * m..][..m]) {
+                        *d += w * x;
+                    }
+                }
+                let mut got = dst0.clone();
+                recombine_planes(&mut got, &slab, &planes);
+                assert_eq!(got, want, "s_bits {s_bits} m {m}");
+                // Reused destination: a second pass accumulates again.
+                recombine_planes(&mut got, &slab, &planes);
+                for ((g, w), d) in got.iter().zip(&want).zip(&dst0) {
+                    assert_eq!(*g, 2 * w - d, "s_bits {s_bits} m {m} (reused)");
+                }
+            }
         }
     }
 
@@ -546,7 +714,6 @@ mod tests {
         #[test]
         fn row_adds_match_scalar(
             m in 0usize..20,
-            w in -64i64..=64,
             seed in 0u64..32,
         ) {
             let gen = |salt: u64| -> Vec<i64> {
@@ -568,11 +735,6 @@ mod tests {
             add_two_rows(&mut got, &a, &b);
             let want: Vec<i64> =
                 dst0.iter().zip(&a).zip(&b).map(|((&d, &x), &y)| d + x + y).collect();
-            prop_assert_eq!(&got, &want);
-
-            let mut got = dst0.clone();
-            axpy(&mut got, w, &a);
-            let want: Vec<i64> = dst0.iter().zip(&a).map(|(&d, &x)| d + w * x).collect();
             prop_assert_eq!(&got, &want);
         }
 

@@ -430,25 +430,13 @@ impl TransitiveArray {
                     sink,
                 );
                 agg.add(&rep);
-                // Fused row expansion: accumulate each non-zero row's
-                // slab result straight into the output shard.
-                for (r, &p) in patterns.iter().enumerate() {
-                    if p == 0 {
-                        continue;
-                    }
-                    let n_local = r / s_bits;
-                    let level = (r % s_bits) as u32;
-                    let n_global = nt * n_tile + n_local;
-                    if n_global >= shape.n {
-                        continue;
-                    }
-                    let w = if level == self.cfg.weight_bits - 1 {
-                        -(1i64 << level)
-                    } else {
-                        1i64 << level
-                    };
-                    let result = scratch.result(p).expect("pattern must be computed");
-                    ta_bitslice::kernels::axpy(acc_rows.row_mut(n_global - row_offset), w, result);
+                // Fused recombination: each weight row's `s_bits` plane
+                // results fold into its output row in one multiply-free
+                // Horner pass. Padding rows past `n` are skipped.
+                let rows = (shape.n - nt * n_tile).min(n_tile);
+                for (n_local, planes) in patterns.chunks_exact(s_bits).take(rows).enumerate() {
+                    let row = acc_rows.row_mut(nt * n_tile + n_local - row_offset);
+                    scratch.recombine(row, planes);
                 }
             }
         }

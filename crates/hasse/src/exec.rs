@@ -155,28 +155,37 @@ impl ExecScratch {
         self.stamp[pattern as usize] = self.generation;
     }
 
-    /// The slab slice owned by `pattern` (mutable, unchecked stamp).
+    /// Writes `node`'s slot as `prefix`'s slot plus every input row
+    /// selected by `bits`, in one fused pass
+    /// ([`ta_bitslice::kernels::derive_slot`]) — the PPE op. An outlier
+    /// or from-scratch node derives from the zero slot, `prefix = 0`.
     #[inline]
-    pub(crate) fn slot_mut(&mut self, pattern: u16) -> &mut [i64] {
-        let off = pattern as usize * self.m;
-        &mut self.slab[off..off + self.m]
+    pub(crate) fn derive(&mut self, prefix: u16, node: u16, inputs: TileView<'_>, bits: u16) {
+        ta_bitslice::kernels::derive_slot(
+            &mut self.slab,
+            self.m,
+            prefix as usize,
+            node as usize,
+            inputs,
+            bits,
+        );
     }
 
-    /// Copies `src`'s result over `dst`'s slot (the prefix-reuse step:
-    /// one slab-internal memmove instead of a fresh allocation).
-    #[inline]
-    pub(crate) fn copy_slot(&mut self, src: u16, dst: u16) {
-        let (s, d) = (src as usize * self.m, dst as usize * self.m);
-        self.slab.copy_within(s..s + self.m, d);
-    }
-
-    /// Adds every input row selected by `bits` onto `pattern`'s slot —
-    /// the diff-bit accumulation of the PPE model, executed as fused
-    /// word-parallel row-adds ([`ta_bitslice::kernels::add_selected_rows`]).
-    #[inline]
-    pub(crate) fn add_inputs(&mut self, pattern: u16, inputs: TileView<'_>, bits: u16) {
-        let off = pattern as usize * self.m;
-        ta_bitslice::kernels::add_selected_rows(&mut self.slab[off..off + self.m], inputs, bits);
+    /// Adds one weight row's bit-plane results onto `dst` with the
+    /// multiply-free Horner recombination
+    /// ([`ta_bitslice::kernels::recombine_planes`]): `planes[s]` is the
+    /// pattern of bit plane `s`, the last one the 2's-complement sign
+    /// plane. A zero pattern reads the empty-pattern slot, which every
+    /// evaluation re-zeroes and no op writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plane's pattern was not computed in the current
+    /// sub-tile or `dst.len()` differs from the slab's row length.
+    pub fn recombine(&self, dst: &mut [i64], planes: &[u16]) {
+        assert_eq!(dst.len(), self.m, "output row length must match the slab's");
+        assert!(planes.iter().all(|&p| self.computed(p)), "pattern must be computed");
+        ta_bitslice::kernels::recombine_planes(dst, &self.slab, planes);
     }
 
     /// Emits `pattern`'s finalized slot to the sink.
@@ -235,12 +244,25 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Extracts the plan from a built Scoreboard.
     pub fn from_scoreboard(sb: &Scoreboard) -> Self {
+        // One pass over the forward order compacts the forest nodes (active,
+        // not outliers) and counts each lane's ops, so every lane is sized
+        // exactly: no regrowth while filling and no slack held by cached
+        // plans. Whether a node is in the forest is close to a coin flip,
+        // so the pass selects without a data-dependent branch.
+        let order = sb.graph().forward_order();
         let lane_count = sb.config().effective_lanes() as usize;
-        let mut lanes: Vec<Vec<PlanOp>> = vec![Vec::new(); lane_count];
-        for p in sb.active_nodes() {
-            if sb.is_outlier(p) {
-                continue;
-            }
+        let mut forest = vec![0u16; order.len()];
+        let mut sizes = vec![0usize; lane_count + 1]; // the last counts nothing
+        let mut n = 0;
+        for &p in order {
+            let (keep, lane) = (sb.in_forest(p), sb.node(p).lane as usize);
+            forest[n] = p;
+            n += usize::from(keep);
+            sizes[if keep { lane } else { lane_count }] += 1;
+        }
+        let mut lanes: Vec<Vec<PlanOp>> =
+            sizes[..lane_count].iter().map(|&c| Vec::with_capacity(c)).collect();
+        for &p in &forest[..n] {
             let e = sb.node(p);
             let prefix = e.chosen_parent;
             debug_assert_ne!(prefix, u16::MAX);
@@ -368,15 +390,13 @@ impl ExecutionPlan {
                 // orders a suffix before its prefix must panic, not copy a
                 // stale slot (the stamp compare is O(1)).
                 assert!(scratch.computed(op.prefix), "prefix must be computed before its suffix");
-                scratch.copy_slot(op.prefix, op.node);
-                scratch.add_inputs(op.node, inputs, op.diff);
+                scratch.derive(op.prefix, op.node, inputs, op.diff);
                 scratch.mark(op.node);
                 scratch.emit(op.node, sink);
             }
         }
         for op in &self.outliers {
-            scratch.slot_mut(op.node).fill(0);
-            scratch.add_inputs(op.node, inputs, op.node);
+            scratch.derive(0, op.node, inputs, op.node);
             scratch.mark(op.node);
             scratch.emit(op.node, sink);
         }
@@ -432,6 +452,28 @@ mod tests {
         let plan = plan_for(&patterns, 8);
         for op in plan.iter_ops() {
             assert_eq!(op.diff.count_ones(), 1, "{:?}", op);
+        }
+    }
+
+    #[test]
+    fn lanes_hold_forest_nodes_in_forward_order_without_slack() {
+        for (width, max_distance) in [(4u32, 4u8), (6, 2), (8, 4), (8, 2)] {
+            let patterns: Vec<u16> = (0..200u32)
+                .map(|i| (i.wrapping_mul(2654435761) >> 13) as u16 & ((1 << width) - 1))
+                .collect();
+            let cfg = ScoreboardConfig { max_distance, ..ScoreboardConfig::with_width(width) };
+            let sb = Scoreboard::build(cfg, patterns.iter().copied());
+            let plan = ExecutionPlan::from_scoreboard(&sb);
+            assert_eq!(plan.lanes().len(), cfg.effective_lanes() as usize);
+            for (l, lane) in plan.lanes().iter().enumerate() {
+                let want: Vec<u16> = sb
+                    .active_nodes()
+                    .filter(|&p| !sb.is_outlier(p) && usize::from(sb.node(p).lane) == l)
+                    .collect();
+                let got: Vec<u16> = lane.iter().map(|op| op.node).collect();
+                assert_eq!(got, want, "width {width} max_distance {max_distance} lane {l}");
+                assert_eq!(lane.capacity(), lane.len(), "lane {l} holds slack");
+            }
         }
     }
 

@@ -186,6 +186,19 @@ impl Scoreboard {
                 .is_some_and(|n| n.count > 0 && !n.transit && n.distance >= self.cfg.max_distance)
     }
 
+    /// Whether `pattern` is computed inside the forest: active, not the
+    /// empty pattern, and not an outlier. Evaluated without short-circuit
+    /// branches, for the plan build's compaction pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` exceeds the width.
+    #[inline]
+    pub(crate) fn in_forest(&self, pattern: u16) -> bool {
+        let n = self.node(pattern);
+        (pattern != 0) & n.is_active() & (n.transit | (n.distance < self.cfg.max_distance))
+    }
+
     /// Final per-lane workload counters (PPE op counts used for balance).
     pub fn lane_workload(&self) -> &[u64] {
         &self.lane_workload

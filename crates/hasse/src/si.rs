@@ -299,19 +299,13 @@ impl StaticSi {
                 parent => cur = parent,
             }
         }
-        // Replay deepest-first: one prefix copy + diff adds per node.
+        // Replay deepest-first: one fused prefix-derive per node.
         for &node in chain[..len].iter().rev() {
-            let diff = match self.prefix[node as usize] {
-                ABSENT | SELF => {
-                    scratch.slot_mut(node).fill(0);
-                    node // from scratch: all set bits
-                }
-                parent => {
-                    scratch.copy_slot(parent, node);
-                    node ^ parent
-                }
+            let prefix = match self.prefix[node as usize] {
+                ABSENT | SELF => 0, // from scratch: all set bits onto the zero slot
+                parent => parent,
             };
-            scratch.add_inputs(node, inputs, diff);
+            scratch.derive(prefix, node, inputs, node ^ prefix);
             scratch.mark(node);
             scratch.emit(node, sink);
         }

@@ -390,3 +390,94 @@ fn eight_bit_weights_wide_activations() {
     // 8-bit TranSparsity on Gaussian data sits well below bit sparsity.
     assert!(report.density < 0.40, "density {}", report.density);
 }
+
+/// Exactness matrix of the execute path: every weight width × activation
+/// width × TransRow width, both Scoreboard modes, `Session::run` at
+/// threads 1/2 and `run_serial`, on a ragged last n-tile and ragged K.
+/// Operands are random in range, all-minimum, all-maximum, and a mix
+/// whose first rows/columns hit the extremes. A result that fits `i32`
+/// must equal `gemm_i32`; one that does not must come back as
+/// `AccumulatorOverflow` naming the first (row-major) element past `i32`
+/// with its exact value.
+#[test]
+fn execute_exactness_matrix() {
+    use transitive_array::core::TaError;
+
+    let mut rng = StreamRng::new(2020);
+    for weight_bits in [2u32, 3, 8, 16] {
+        for act_bits in [2u32, 8, 16] {
+            let (w_lo, w_hi) = (-(1i32 << (weight_bits - 1)), (1i32 << (weight_bits - 1)) - 1);
+            let (x_lo, x_hi) = (-(1i32 << (act_bits - 1)), (1i32 << (act_bits - 1)) - 1);
+            for width in [1u32, 5, 8, 16] {
+                // Four weight rows per n-tile: n = 6 leaves the last one
+                // half full; K = width + 3 leaves the last k-chunk ragged.
+                let (n, k) = (6usize, width as usize + 3);
+                let mut random = |lo: i32, hi: i32| {
+                    lo + (rng.next_u64() % (i64::from(hi) - i64::from(lo) + 1) as u64) as i32
+                };
+                let cases: Vec<(&str, MatI32, MatI32)> = vec![
+                    (
+                        "random",
+                        MatI32::from_fn(n, k, |_, _| random(w_lo, w_hi)),
+                        MatI32::from_fn(k, 3, |_, _| random(x_lo, x_hi)),
+                    ),
+                    (
+                        "all-min",
+                        MatI32::from_fn(n, k, |_, _| w_lo),
+                        MatI32::from_fn(k, 1, |_, _| x_lo),
+                    ),
+                    (
+                        "all-max",
+                        MatI32::from_fn(n, k, |_, _| w_hi),
+                        MatI32::from_fn(k, 1, |_, _| x_hi),
+                    ),
+                    (
+                        "mixed",
+                        MatI32::from_fn(n, k, |r, c| [w_hi, w_lo, (c as i32 % 3) - 1][r.min(2)]),
+                        MatI32::from_fn(k, 3, |r, c| [x_lo, x_hi, (r as i32 % 3) - 1][c]),
+                    ),
+                ];
+                for (name, w, x) in &cases {
+                    let exact: Vec<i64> = (0..n * x.cols())
+                        .map(|i| {
+                            let (r, c) = (i / x.cols(), i % x.cols());
+                            (0..k).map(|j| i64::from(w.get(r, j)) * i64::from(x.get(j, c))).sum()
+                        })
+                        .collect();
+                    let want = match exact.iter().position(|&v| i32::try_from(v).is_err()) {
+                        Some(i) => Err(TaError::AccumulatorOverflow {
+                            row: i / x.cols(),
+                            col: i % x.cols(),
+                            value: exact[i],
+                        }),
+                        None => Ok(gemm_i32(w, x)),
+                    };
+                    for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+                        let ctx = format!("w{weight_bits} a{act_bits} T{width} {name} {mode:?}");
+                        let cfg = TransArrayConfig {
+                            width,
+                            max_transrows: weight_bits as usize * 4,
+                            weight_bits,
+                            act_bits,
+                            units: 2,
+                            m_tile: 2,
+                            sample_limit: 0,
+                            scoreboard_mode: mode,
+                            ..TransArrayConfig::paper_w8()
+                        };
+                        let run = |s: &Session, serial: bool| {
+                            let request = GemmRequest::execute(w.clone(), x.clone());
+                            let resp = if serial { s.run_serial(request) } else { s.run(request) };
+                            resp.map(|r| r.output.expect("execute returns an output"))
+                        };
+                        let one = session(cfg.clone());
+                        assert_eq!(run(&one, true), want, "{ctx} run_serial");
+                        assert_eq!(run(&one, false), want, "{ctx} run threads=1");
+                        let two = session(TransArrayConfig { threads: 2, ..cfg });
+                        assert_eq!(run(&two, false), want, "{ctx} run threads=2");
+                    }
+                }
+            }
+        }
+    }
+}
