@@ -18,7 +18,12 @@
 //!
 //! A bucket flushes when it reaches `max_batch` requests (inside
 //! [`Batcher::offer`]) or when its oldest request has waited
-//! `max_delay_ns` (inside [`Batcher::flush_due`]). The batcher is
+//! `max_delay_ns` (inside [`Batcher::flush_due`]). The default
+//! `max_delay_ns` is 0: every bucket is due on the scheduler pass that
+//! absorbed it, so only requests that arrive in the same pass and land
+//! in the same bucket coalesce (up to `max_batch`). A batch's requests
+//! run one after another on one worker and share no work, so holding a
+//! request for batchmates would only add queue wait. The batcher is
 //! driven by caller-supplied logical timestamps, so every policy
 //! decision is unit-testable without wall-clock time.
 
@@ -27,11 +32,24 @@ use std::collections::BTreeMap;
 use crate::request::Envelope;
 
 /// Batching policy knobs.
+///
+/// The default dispatches each request on the scheduler pass that
+/// absorbs it:
+///
+/// ```
+/// use ta_serve::BatchPolicy;
+///
+/// let policy = BatchPolicy::default();
+/// assert_eq!(policy, BatchPolicy { max_batch: 8, max_delay_ns: 0, quantum_m: 1 });
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Flush a bucket as soon as it holds this many requests.
+    /// Flush a bucket as soon as it holds this many requests (at least
+    /// 1; default 8).
     pub max_batch: usize,
-    /// Flush a bucket once its oldest request has waited this long.
+    /// Flush a bucket once its oldest request has waited this long
+    /// (server-clock nanoseconds). `0` (the default) makes every
+    /// bucket due on the scheduler pass that absorbed it.
     pub max_delay_ns: u64,
     /// Execute-request input widths are rounded up to a multiple of
     /// this quantum for bucketing; `1` (the default) means exact-shape
@@ -41,7 +59,7 @@ pub struct BatchPolicy {
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self { max_batch: 8, max_delay_ns: 2_000_000, quantum_m: 1 }
+        Self { max_batch: 8, max_delay_ns: 0, quantum_m: 1 }
     }
 }
 
@@ -235,6 +253,27 @@ mod tests {
         let jobs = b.flush_due(100);
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].requests.len(), 1);
+        assert_eq!(b.next_deadline_ns(), None);
+    }
+
+    #[test]
+    fn zero_delay_flushes_on_the_absorbing_pass() {
+        let mut b = Batcher::new(policy(3, 0, 1));
+        // Two same-bucket offers at one timestamp leave in one job.
+        assert!(b.offer(exec(0, 8, 16, 2), 50).is_none());
+        assert!(b.offer(exec(1, 8, 16, 2), 50).is_none());
+        assert_eq!(b.next_deadline_ns(), Some(50), "due at once");
+        let jobs = b.flush_due(50);
+        assert_eq!(jobs.len(), 1);
+        let ids: Vec<u64> = jobs[0].requests.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(b.next_deadline_ns(), None);
+        assert_eq!(b.pending(), 0);
+        // Reaching max_batch still flushes from offer.
+        assert!(b.offer(exec(2, 8, 16, 2), 60).is_none());
+        assert!(b.offer(exec(3, 8, 16, 2), 60).is_none());
+        let job = b.offer(exec(4, 8, 16, 2), 60).expect("bucket reached max_batch");
+        assert_eq!(job.requests.len(), 3);
         assert_eq!(b.next_deadline_ns(), None);
     }
 

@@ -9,8 +9,10 @@
 //! * tenant fairness — per-tenant FIFOs drained round-robin, so a
 //!   flooding tenant cannot starve a light one;
 //! * [`BatchPolicy`] — bucket compatible shapes, flush on budget
-//!   (`max_batch`) or deadline (`max_delay_ns`), optional width
-//!   quantization (`quantum_m`) with exact zero-padding;
+//!   (`max_batch`) or deadline (`max_delay_ns`; the default 0
+//!   dispatches a request on the scheduler pass that absorbs it),
+//!   optional width quantization (`quantum_m`) with exact
+//!   zero-padding;
 //! * [`SloPolicy`] — per-tenant admission control (reject over-depth
 //!   tenants at submit with [`RejectReason::QueueFull`]) and deadline
 //!   shedding (drop over-budget requests at the batcher with
@@ -389,6 +391,23 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.shed, 2);
         assert_eq!(stats.completed, 0, "no worker time was spent on blown deadlines");
+    }
+
+    #[test]
+    fn default_policy_dispatches_with_the_clock_frozen() {
+        // The virtual clock never moves here, so a request that waited
+        // for a batch deadline would never leave the batcher.
+        let config = ServerConfig { workers: 1, clock: ClockMode::Virtual, ..Default::default() };
+        let server = Server::start(small_session(1), config);
+        let mut ticket = server.submit(0, small_request()).unwrap();
+        let served = ticket
+            .wait_timeout(Duration::from_secs(30))
+            .expect("the default policy dispatches without a clock advance");
+        let want = small_session(1).run_serial(small_request()).unwrap();
+        assert_eq!(served.response, want);
+        assert_eq!(server.now_ns(), 0, "the clock never moved");
+        let stats = server.shutdown();
+        assert_eq!((stats.completed, stats.batches), (1, 1));
     }
 
     #[test]

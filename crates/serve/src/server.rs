@@ -186,8 +186,12 @@ impl Inner {
 
     /// Releases one unit of the tenant's queue depth. Called on every
     /// resolution path — completion, shed, worker loss — so admission
-    /// control tracks true in-flight load.
+    /// control tracks true in-flight load. Without a depth limit
+    /// admission never inserts an entry, so there is nothing to lock.
     fn release(&self, tenant: TenantId) {
+        if self.slo.max_queue_depth == 0 {
+            return;
+        }
         let mut depths = self.depths.lock().expect("depth map lock");
         if let Some(depth) = depths.get_mut(&tenant) {
             *depth -= 1;

@@ -38,19 +38,21 @@ fn shapes() -> Vec<GemmShape> {
 }
 
 /// Served responses must equal direct execution bit-for-bit — output
-/// *and* full report — for every (worker count, batch budget) combo.
+/// *and* full report — for every (worker count, batch budget) combo,
+/// and under the default policy, which dispatches without a hold.
 #[test]
 fn served_equals_direct_across_threads_and_batch_budgets() {
     let direct = session(1);
     let shapes = shapes();
+    let held = |max_batch| BatchPolicy { max_batch, max_delay_ns: 50_000, quantum_m: 1 };
+    let policies = [held(1), held(2), held(8), BatchPolicy::default()];
     for threads in [1usize, 2, 8] {
-        for max_batch in [1usize, 2, 8] {
-            let policy = BatchPolicy { max_batch, max_delay_ns: 50_000, quantum_m: 1 };
+        for policy in policies {
             let server = Server::start(
                 session(threads),
                 ServerConfig { workers: threads, policy, ..ServerConfig::default() },
             );
-            let trace = poisson_trace(0xD5 + max_batch as u64, 20, 200, 3, &shapes);
+            let trace = poisson_trace(0xD5 + policy.max_batch as u64, 20, 200, 3, &shapes);
             let tickets: Vec<_> = trace
                 .iter()
                 .map(|a| {
@@ -66,7 +68,7 @@ fn served_equals_direct_across_threads_and_batch_budgets() {
                     .expect("direct run succeeds");
                 assert_eq!(
                     served.response, want,
-                    "threads={threads} max_batch={max_batch} arrival={arrival:?}"
+                    "threads={threads} policy={policy:?} arrival={arrival:?}"
                 );
             }
             let stats = server.shutdown();
