@@ -251,14 +251,15 @@ fn expand_rows(patterns: &[u16], computed: &[(u16, Vec<i64>)], m: usize) -> Vec<
 /// conceals the overhead"), so the sustained limit is the most-loaded
 /// bank's total row count over the sub-tile — not per-group worst cases.
 fn xbar_conflict_cycles(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
+    // One bank per TransRow bit; the width is validated to 1..=16.
     let banks = cfg.width as usize;
-    let mut occupancy = vec![0u64; banks];
-    for (i, &p) in patterns.iter().enumerate() {
-        if p != 0 {
-            occupancy[i % banks] += 1;
+    let mut occupancy = [0u64; 16];
+    for group in patterns.chunks(banks) {
+        for (bank, &p) in occupancy.iter_mut().zip(group) {
+            *bank += u64::from(p != 0);
         }
     }
-    occupancy.into_iter().max().unwrap_or(0)
+    occupancy[..banks].iter().copied().max().unwrap_or(0)
 }
 
 /// Functional evaluation of one sub-tile: returns, for every binary row
@@ -461,5 +462,25 @@ mod tests {
         // Zero rows don't occupy banks.
         let rep0 = process_subtile(&c, None, &[0u16, 0, 0, 0, 7, 0, 0, 0], None);
         assert_eq!(rep0.xbar_cycles, 1);
+    }
+
+    #[test]
+    fn xbar_banks_rows_by_index_modulo_width_at_every_width() {
+        // Ragged lengths leave the last group short; bank `i % width`
+        // takes row `i`.
+        for width in 1..=16u32 {
+            let c = TransArrayConfig { width, ..cfg() };
+            for len in [0usize, 1, 5, 37, 100] {
+                let patterns: Vec<u16> = (0..len)
+                    .map(|i| u16::from(!(i * 7 + width as usize).is_multiple_of(3)))
+                    .collect();
+                let mut want = vec![0u64; width as usize];
+                for (i, &p) in patterns.iter().enumerate() {
+                    want[i % width as usize] += u64::from(p != 0);
+                }
+                let want = want.into_iter().max().unwrap_or(0);
+                assert_eq!(xbar_conflict_cycles(&c, &patterns), want, "width {width}, len {len}");
+            }
+        }
     }
 }

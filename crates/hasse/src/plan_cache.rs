@@ -222,7 +222,7 @@ impl CachedPlan {
         if with_plan {
             let _ = plan.set(ExecutionPlan::from_scoreboard(&sb));
         }
-        CachedPlan::Dynamic { stats: Arc::new(TileStats::from_scoreboard(&sb)), plan }
+        CachedPlan::Dynamic { stats: Arc::new(sb.into_stats()), plan }
     }
 
     /// The dynamic entry's op streams, building them on first use. A

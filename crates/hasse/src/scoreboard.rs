@@ -9,12 +9,16 @@
 //! by a workload counter.
 //!
 //! Every pass walks set bits (`while bits != 0`, lowest first), never
-//! every bit position, so a node costs time in proportion to its popcount
-//! (forward: to its zero bits). A test-only oracle at the end of this file
-//! pins the balance pass's candidate order and tie-breaks.
+//! every bit position, so a node costs time in proportion to its popcount.
+//! The balance pass also tallies the tile's [`TileStats`]. A test-only
+//! oracle at the end of this file pins every entry, the balance pass's
+//! candidate order and tie-breaks, and the tallies.
+
+use std::hint::select_unpredictable;
 
 use crate::graph::HasseGraph;
-use crate::node::{NodeEntry, DIST_INF, HW_MAX_DISTANCE, MAX_DISTANCE, NO_LANE};
+use crate::node::{NodeEntry, HW_MAX_DISTANCE, MAX_DISTANCE, NO_LANE};
+use crate::stats::TileStats;
 
 /// How the balancer distributes trees over lanes (Fig. 5 step ⑤).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -98,8 +102,9 @@ pub struct Scoreboard {
     graph: HasseGraph,
     nodes: Vec<NodeEntry>,
     outliers: Vec<u16>,
-    lane_workload: Vec<u64>,
-    rows: usize,
+    /// Tallied by the build as it places each node; `lane_ppe` is the
+    /// workload counter itself.
+    stats: TileStats,
 }
 
 impl Scoreboard {
@@ -127,6 +132,17 @@ impl Scoreboard {
     /// assert_eq!(sb.node(7).chosen_parent, 5); // 0111 reuses 0101
     /// ```
     pub fn build(cfg: ScoreboardConfig, patterns: impl IntoIterator<Item = u16>) -> Self {
+        let mut sb = Self::recorded(cfg, patterns);
+        sb.forward();
+        sb.backward();
+        sb.balance();
+        let zero_rows = sb.nodes[0].count as usize;
+        sb.stats.close(zero_rows);
+        sb
+    }
+
+    /// Step ②: a validated, empty Scoreboard with `patterns` counted.
+    fn recorded(cfg: ScoreboardConfig, patterns: impl IntoIterator<Item = u16>) -> Self {
         cfg.validate();
         let graph = HasseGraph::new(cfg.width);
         let mut sb = Self {
@@ -134,13 +150,9 @@ impl Scoreboard {
             graph,
             nodes: vec![NodeEntry::empty(); graph.node_count()],
             outliers: Vec::new(),
-            lane_workload: vec![0; cfg.effective_lanes() as usize],
-            rows: 0,
+            stats: TileStats { width: cfg.width, ..TileStats::default() },
         };
         sb.record(patterns);
-        sb.forward();
-        sb.backward();
-        sb.balance();
         sb
     }
 
@@ -156,7 +168,7 @@ impl Scoreboard {
 
     /// Number of TransRows recorded (including zero rows and duplicates).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.stats.rows
     }
 
     /// The node entry for `pattern`.
@@ -201,7 +213,17 @@ impl Scoreboard {
 
     /// Final per-lane workload counters (PPE op counts used for balance).
     pub fn lane_workload(&self) -> &[u64] {
-        &self.lane_workload
+        &self.stats.lane_ppe
+    }
+
+    /// The statistics the build tallied (see [`TileStats::from_scoreboard`]).
+    pub(crate) fn stats(&self) -> &TileStats {
+        &self.stats
+    }
+
+    /// The tallied statistics, without copying them out.
+    pub(crate) fn into_stats(self) -> TileStats {
+        self.stats
     }
 
     /// Iterator over all active node patterns (present or transit),
@@ -220,46 +242,71 @@ impl Scoreboard {
         for p in patterns {
             assert!(self.graph.contains(p), "pattern {p:#b} exceeds width {}", self.cfg.width);
             self.nodes[p as usize].count += 1;
-            self.rows += 1;
+            self.stats.rows += 1;
         }
     }
 
     // ---- Step ③: forward pass (Alg. 1) --------------------------------
 
+    /// Alg. 1 pushes each node's distance to its suffixes. This pass pulls
+    /// instead: Hamming order settles every prefix of a node before the
+    /// node, so each node reads what its prefixes propagate, takes the
+    /// minimum as its distance, and writes only the bitmap of the prefixes
+    /// that reach it — the one Alg. 2 line 11 keeps. The entries match the
+    /// push form after the backward pass, slot for slot.
     fn forward(&mut self) {
+        /// A prefix that propagates nothing.
+        const NONE: u8 = u8::MAX;
         let maxd = self.cfg.max_distance;
-        let mask = (self.graph.node_count() - 1) as u16;
-        for &i in self.graph.forward_order() {
-            let idx = i as usize;
-            let mut dis = self.nodes[idx].distance;
+        let order = self.graph.forward_order();
+        // What each settled node propagates to its suffixes; the origin
+        // propagates 0.
+        let mut out = vec![NONE; order.len()];
+        out[0] = 0;
+        // Node 0 leads the Hamming order and has no prefix.
+        for &i in &order[1..] {
+            // Every immediate prefix `i & !bit` is one set bit of `i`.
+            let (mut best, mut bitmap) = (NONE, 0u16);
+            let mut rest = i;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                rest &= rest - 1;
+                let d = out[(i ^ bit) as usize];
+                bitmap = if d < best {
+                    bit
+                } else if d == best {
+                    bitmap | bit
+                } else {
+                    bitmap
+                };
+                best = best.min(d);
+            }
+            let node = &mut self.nodes[i as usize];
+            if best != NONE {
+                debug_assert!((best as usize) < MAX_DISTANCE);
+                node.distance = best + 1;
+                node.prefix_bitmaps[best as usize] = bitmap;
+            }
             // Alg. 1 line 7: unreachable-or-capped nodes do not propagate
             // (note: this also bars capped *present* nodes from serving as
-            // prefixes — they are outliers).
-            if i != 0 && dis >= maxd {
-                continue;
-            }
-            // Alg. 1 line 8: present nodes (and the origin) reset the
-            // propagated distance — they will be computed and can serve as
-            // prefixes.
-            if self.nodes[idx].count > 0 || i == 0 {
-                dis = 0;
-            }
-            let d = dis + 1;
-            debug_assert!(d as usize <= MAX_DISTANCE);
-            // Every immediate suffix `i | bit` is one zero bit of `i`.
-            let mut zeros = !i & mask;
-            while zeros != 0 {
-                let bit = zeros & zeros.wrapping_neg();
-                zeros &= zeros - 1;
-                let s = &mut self.nodes[(i | bit) as usize];
-                s.prefix_bitmaps[dis as usize] |= bit;
-                s.distance = s.distance.min(d);
-            }
+            // prefixes — they are outliers). Line 8: present nodes reset
+            // the propagated distance — they will be computed and can
+            // serve as prefixes.
+            out[i as usize] = if node.distance >= maxd {
+                NONE
+            } else if node.count > 0 {
+                0
+            } else {
+                node.distance
+            };
         }
     }
 
     // ---- Step ④: backward pass (Alg. 2) -------------------------------
 
+    /// Alg. 2 lines 5–10. Line 11 (keep only the smallest-distance prefix
+    /// bitmap) has nothing left to clear: the forward pass wrote only that
+    /// one.
     fn backward(&mut self) {
         let maxd = self.cfg.max_distance;
         for &i in self.graph.forward_order().iter().rev() {
@@ -285,147 +332,183 @@ impl Scoreboard {
                     self.nodes[p].transit = true;
                 }
             }
-            // Alg. 2 line 11: keep only the smallest-distance prefix bitmap.
-            // The forward pass never writes the slots at or above the cap.
-            if dis != DIST_INF {
-                let keep = (dis - 1) as usize;
-                let bitmaps = &mut self.nodes[idx].prefix_bitmaps;
-                let kept = bitmaps[keep];
-                bitmaps[..maxd as usize].fill(0);
-                bitmaps[keep] = kept;
-            }
         }
     }
 
     // ---- Step ⑤: balanced forest --------------------------------------
 
+    /// Places every active node on a lane and tallies the statistics as it
+    /// goes: the pass that settles a node's lane, count, transit and
+    /// outlier status also counts them.
     fn balance(&mut self) {
         let maxd = self.cfg.max_distance;
+        let width = self.cfg.width;
+        let lanes = self.cfg.effective_lanes() as usize;
         let mask = self.graph.node_count() as u32 - 1;
-        for &i in self.graph.forward_order() {
+        // `i % width` as a multiply: with `recip` = ⌈2^32 / width⌉ the high
+        // word of `i · recip` is `i / width` for every `i` below 2^16.
+        let recip = (1u64 << 32).div_ceil(u64::from(width));
+        // The workload counters by lane id (the row of lane counters of
+        // Fig. 5 step ⑤). Lane ids stay below NO_LANE (validated), and the
+        // NO_LANE slot reads u64::MAX: an unlaned candidate parent scores
+        // above every laned one, so a strict minimum never takes it.
+        let mut wl = [0u64; 256];
+        wl[NO_LANE as usize] = u64::MAX;
+        // APE rows per lane: every present row, no transit stop.
+        let mut ape = [0u64; 256];
+        let s = &mut self.stats;
+        // Node 0 leads the Hamming order and is never placed.
+        for &i in &self.graph.forward_order()[1..] {
             let idx = i as usize;
-            if i == 0 || self.nodes[idx].count == 0 {
+            let NodeEntry { count, distance: dis, transit, chosen_parent, .. } = self.nodes[idx];
+            if count == 0 {
                 continue;
             }
-            let dis = self.nodes[idx].distance;
-            // Present nodes beyond the cap are outliers — dispatched at the
-            // end, assigned lanes after the forest is balanced.
-            if !self.nodes[idx].transit && (dis >= maxd || dis == DIST_INF) {
+            // Present nodes beyond the cap (DIST_INF included: it exceeds
+            // every cap) are outliers — dispatched at the end, assigned
+            // lanes after the forest is balanced.
+            if !transit && dis >= maxd {
                 self.outliers.push(i);
+                s.fr_rows += count as usize - 1;
+                s.outlier_rows += 1;
+                s.outlier_extra_ops += u64::from(i.count_ones()) - 1;
                 continue;
             }
-            let lane = if i.is_power_of_two() {
+            let (parent, lane) = if i.is_power_of_two() {
                 // Roots: open each tree on the least-loaded lane (or, in
                 // the unbalanced ablation, simply on the bit's own lane).
-                self.nodes[idx].chosen_parent = 0;
-                match self.cfg.balance {
-                    BalancePolicy::WorkloadCounter => argmin_lane(&self.lane_workload),
-                    BalancePolicy::FirstCandidate => {
-                        (i.trailing_zeros() % self.cfg.effective_lanes()) as u8
+                let lane = match self.cfg.balance {
+                    BalancePolicy::WorkloadCounter => argmin_lane(&wl[..lanes]),
+                    BalancePolicy::FirstCandidate => (i.trailing_zeros() % lanes as u32) as u8,
+                };
+                (0, lane)
+            } else if chosen_parent != u16::MAX {
+                // Distance >1 nodes follow the path the backward pass fixed.
+                let lane = self.nodes[chosen_parent as usize].lane;
+                debug_assert_ne!(lane, NO_LANE, "parent must be laned first");
+                (chosen_parent, lane)
+            } else if self.cfg.balance == BalancePolicy::FirstCandidate {
+                // Unbalanced ablation: lowest-bit active parent, no
+                // idle-lane opening.
+                debug_assert_eq!(dis, 1);
+                let mut chosen: Option<(u16, u8)> = None;
+                let mut rest = i;
+                while rest != 0 {
+                    let parent = i & !(rest & rest.wrapping_neg());
+                    rest &= rest - 1;
+                    let pl = self.nodes[parent as usize].lane;
+                    if pl != NO_LANE {
+                        chosen = Some((parent, pl));
+                        break;
                     }
                 }
-            } else if self.nodes[idx].has_chosen_parent() {
-                // Distance >1 nodes follow the path the backward pass fixed.
-                let parent = self.nodes[idx].chosen_parent as usize;
-                debug_assert_ne!(self.nodes[parent].lane, NO_LANE, "parent must be laned first");
-                self.nodes[parent].lane
+                chosen.expect("distance-1 node must have an active parent")
             } else {
                 // Distance-1 nodes pick an *available* prefix whose lane is
                 // least loaded (the workload counter + priority supervision
-                // of §2.4 / Fig. 5 step ⑤). Candidates are (a) any already-
-                // laned active parent — present or transit, one add either
-                // way — and (b) for level-2 nodes, an absent level-1
-                // parent, which can be opened as a transit root for one
-                // extra add; this is what keeps otherwise-idle lanes busy
-                // when a tile lacks some level-1 patterns ("select an
-                // available prefix node for each node, thereby evenly
-                // distributing workloads among the trees"). Ties break
-                // round-robin by node value.
+                // of §2.4 / Fig. 5 step ⑤). Ties break round-robin by node
+                // value: candidates are visited from bit `i % width` up,
+                // then those below, packed into one word (the low bits in
+                // its upper half), and the first strict minimum wins.
                 debug_assert_eq!(dis, 1);
-                if self.cfg.balance == BalancePolicy::FirstCandidate {
-                    // Unbalanced ablation: lowest-bit active parent, no
-                    // idle-lane opening.
-                    let mut chosen: Option<(u16, u8)> = None;
-                    let mut rest = i;
+                let rotation = i as u32 - ((u64::from(i) * recip) >> 32) as u32 * width;
+                debug_assert_eq!(rotation, i as u32 % width);
+                let mut rest = (i as u32 & mask & (mask << rotation))
+                    | ((i as u32 & ((1 << rotation) - 1)) << 16);
+                if i.count_ones() == 2 {
+                    // Both parents are level-1. Besides an already-laned
+                    // one (present or transit, one add either way), an
+                    // absent parent can be opened as a transit root on the
+                    // least-loaded lane for one extra add; this is what
+                    // keeps otherwise-idle lanes busy when a tile lacks
+                    // some level-1 patterns ("select an available prefix
+                    // node for each node, thereby evenly distributing
+                    // workloads among the trees"). It is scored with a
+                    // penalty of 2 — the extra transit add itself plus a
+                    // net-benefit margin, so idle lanes only open when they
+                    // shorten the critical path (Fig. 5's example must
+                    // keep its 4+4 two-lane forest). No load changes during
+                    // the walk, so the idle lane is scanned for at most
+                    // once.
+                    let mut idle_lane: Option<u8> = None;
+                    // (score, candidate parent, lane, opens a transit root).
+                    let mut best = (u64::MAX, 0u16, NO_LANE, false);
                     while rest != 0 {
-                        let parent = i & !(rest & rest.wrapping_neg());
-                        rest &= rest - 1;
-                        let pl = self.nodes[parent as usize].lane;
-                        if pl != NO_LANE {
-                            chosen = Some((parent, pl));
-                            break;
-                        }
-                    }
-                    let (parent, lane) =
-                        chosen.expect("distance-1 node must have an active parent");
-                    self.nodes[idx].chosen_parent = parent;
-                    self.nodes[idx].lane = lane;
-                    self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
-                    continue;
-                }
-                // Candidates in rotated order: set bits from `i % width` up,
-                // then those below. No load changes during the walk, so the
-                // idle lane is scanned for at most once.
-                let rotation = (i as u32) % self.cfg.width;
-                let halves =
-                    [i as u32 & mask & (mask << rotation), i as u32 & ((1 << rotation) - 1)];
-                let mut idle_lane: Option<u8> = None;
-                // (candidate parent, lane, activation cost, score).
-                let mut best: Option<(u16, u8, u64, u64)> = None;
-                for half in halves {
-                    let mut rest = half as u16;
-                    while rest != 0 {
-                        let parent = i & !(rest & rest.wrapping_neg());
+                        let parent = i & !(1u16 << (rest.trailing_zeros() & 15));
                         rest &= rest - 1;
                         let p = &self.nodes[parent as usize];
                         let (lane, extra) = if p.lane != NO_LANE {
-                            // Active, laned parent (present or transit stop).
                             (p.lane, 0)
-                        } else if parent.is_power_of_two() && p.count == 0 {
-                            // Absent level-1 parent: can open the least-
-                            // loaded lane as a fresh transit root. Scored
-                            // with a penalty of 2 — the extra transit add
-                            // itself plus a net-benefit margin, so idle
-                            // lanes only open when they actually shorten
-                            // the critical path (Fig. 5's example must keep
-                            // its 4+4 two-lane forest).
-                            (*idle_lane.get_or_insert_with(|| argmin_lane(&self.lane_workload)), 2)
+                        } else if p.count == 0 {
+                            (*idle_lane.get_or_insert_with(|| argmin_lane(&wl[..lanes])), 2)
                         } else {
                             continue;
                         };
-                        let score = self.lane_workload[lane as usize] + extra;
-                        if best.is_none_or(|(.., best_score)| score < best_score) {
-                            best = Some((parent, lane, extra, score));
+                        let score = wl[lane as usize] + extra;
+                        if score < best.0 {
+                            best = (score, parent, lane, extra > 0);
                         }
                     }
+                    let (score, parent, lane, opens) = best;
+                    assert!(score != u64::MAX, "distance-1 node must have an available parent");
+                    if opens {
+                        // Materialize the level-1 transit root.
+                        let p = &mut self.nodes[parent as usize];
+                        p.count = 1;
+                        p.transit = true;
+                        p.chosen_parent = 0;
+                        p.lane = lane;
+                        p.suffix_bitmap |= i ^ parent;
+                        wl[lane as usize] += 1;
+                        s.transit_ops += 1;
+                    }
+                    (parent, lane)
+                } else {
+                    // Popcount ≥ 3: every parent has popcount ≥ 2, so none
+                    // can open an idle lane, and a candidate is usable iff
+                    // it has a lane. Its score is its lane's counter (the
+                    // NO_LANE slot's u64::MAX for the unusable).
+                    let (mut best_score, mut best_parent) = (u64::MAX, 0u16);
+                    while rest != 0 {
+                        let parent = i & !(1u16 << (rest.trailing_zeros() & 15));
+                        rest &= rest - 1;
+                        let score = wl[self.nodes[parent as usize].lane as usize];
+                        let better = score < best_score;
+                        best_score = select_unpredictable(better, score, best_score);
+                        best_parent = select_unpredictable(better, parent, best_parent);
+                    }
+                    assert!(
+                        best_score != u64::MAX,
+                        "distance-1 node must have an available parent"
+                    );
+                    (best_parent, self.nodes[best_parent as usize].lane)
                 }
-                let (parent, lane, extra, _) =
-                    best.expect("distance-1 node must have an available parent");
-                if extra > 0 {
-                    // Materialize the level-1 transit root.
-                    let p = parent as usize;
-                    self.nodes[p].count = 1;
-                    self.nodes[p].transit = true;
-                    self.nodes[p].chosen_parent = 0;
-                    self.nodes[p].lane = lane;
-                    self.nodes[p].suffix_bitmap |= i ^ parent;
-                    self.lane_workload[lane as usize] += 1;
-                }
-                self.nodes[idx].chosen_parent = parent;
-                lane
             };
-            self.nodes[idx].lane = lane;
-            self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
+            let node = &mut self.nodes[idx];
+            node.chosen_parent = parent;
+            node.lane = lane;
+            wl[lane as usize] += u64::from(count);
+            // A transit stop costs one PPE op (its count is 1) and no row;
+            // a present node is one PR row plus `count − 1` FR duplicates.
+            let rows = u64::from(count) * u64::from(!transit);
+            s.transit_ops += usize::from(transit);
+            s.pr_rows += usize::from(!transit);
+            s.fr_rows += count as usize - 1;
+            s.distance_rows[dis as usize] += rows;
+            ape[lane as usize] += rows;
         }
         // Outliers: computed from scratch (popcount adds for the first
         // occurrence, FR reuse for duplicates), least-loaded lanes.
         for &p in &self.outliers {
-            let lane = argmin_lane(&self.lane_workload);
+            let lane = argmin_lane(&wl[..lanes]);
             let node = &mut self.nodes[p as usize];
             node.lane = lane;
-            let cost = p.count_ones() as u64 + (node.count as u64 - 1);
-            self.lane_workload[lane as usize] += cost;
+            let count = u64::from(node.count);
+            wl[lane as usize] += u64::from(p.count_ones()) + (count - 1);
+            ape[lane as usize] += count;
         }
+        s.lane_ppe = wl[..lanes].to_vec();
+        s.lane_ape = ape[..lanes].to_vec();
     }
 }
 
@@ -677,27 +760,25 @@ mod tests {
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use crate::node::DIST_INF;
     use crate::{ExecutionPlan, TileStats};
     use ta_core::PatternSource;
     use ta_models::{splitmix64, QuantGaussianSource};
 
     impl Scoreboard {
         /// [`Scoreboard::build`] through the oracle passes.
+        /// The oracle passes keep only the workload counters (in
+        /// `stats.lane_ppe`); the statistics come from [`TileStats::walk`],
+        /// which derives `lane_ppe` from the node entries on its own.
         fn build_oracle(cfg: ScoreboardConfig, patterns: impl IntoIterator<Item = u16>) -> Self {
-            cfg.validate();
-            let graph = HasseGraph::new(cfg.width);
-            let mut sb = Self {
-                cfg,
-                graph,
-                nodes: vec![NodeEntry::empty(); graph.node_count()],
-                outliers: Vec::new(),
-                lane_workload: vec![0; cfg.effective_lanes() as usize],
-                rows: 0,
-            };
-            sb.record(patterns);
+            let mut sb = Self::recorded(cfg, patterns);
+            sb.stats.lane_ppe = vec![0; cfg.effective_lanes() as usize];
             sb.oracle_forward();
             sb.oracle_backward();
             sb.oracle_balance();
+            let walked = TileStats::walk(&sb);
+            assert_eq!(walked.lane_ppe, sb.stats.lane_ppe, "walked lane_ppe != workload counters");
+            sb.stats = walked;
             sb
         }
 
@@ -844,7 +925,7 @@ mod oracle {
                             chosen.expect("distance-1 node must have an active parent");
                         self.nodes[idx].chosen_parent = parent;
                         self.nodes[idx].lane = lane;
-                        self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
+                        self.stats.lane_ppe[lane as usize] += self.nodes[idx].count as u64;
                         continue;
                     }
                     let rotation = (i as u32) % width;
@@ -874,7 +955,7 @@ mod oracle {
                         let pl = self.nodes[parent as usize].lane;
                         if pl != NO_LANE {
                             // Active, laned parent (present or transit stop).
-                            consider(parent, pl, 0, &mut best, &self.lane_workload);
+                            consider(parent, pl, 0, &mut best, &self.stats.lane_ppe);
                         } else if parent.count_ones() == 1 && self.nodes[parent as usize].count == 0
                         {
                             // Absent level-1 parent: can open the least-loaded
@@ -885,7 +966,7 @@ mod oracle {
                             // (Fig. 5's example must keep its 4+4 two-lane
                             // forest).
                             let lane = self.oracle_argmin_lane();
-                            consider(parent, lane, 2, &mut best, &self.lane_workload);
+                            consider(parent, lane, 2, &mut best, &self.stats.lane_ppe);
                         }
                     }
                     let (parent, lane, extra) =
@@ -898,13 +979,13 @@ mod oracle {
                         self.nodes[p].chosen_parent = 0;
                         self.nodes[p].lane = lane;
                         self.nodes[p].suffix_bitmap |= i ^ parent;
-                        self.lane_workload[lane as usize] += 1;
+                        self.stats.lane_ppe[lane as usize] += 1;
                     }
                     self.nodes[idx].chosen_parent = parent;
                     lane
                 };
                 self.nodes[idx].lane = lane;
-                self.lane_workload[lane as usize] += self.nodes[idx].count as u64;
+                self.stats.lane_ppe[lane as usize] += self.nodes[idx].count as u64;
             }
             // Outliers: computed from scratch (popcount adds for the first
             // occurrence, FR reuse for duplicates), least-loaded lanes.
@@ -914,14 +995,14 @@ mod oracle {
                 let idx = p as usize;
                 self.nodes[idx].lane = lane;
                 let cost = p.count_ones() as u64 + (self.nodes[idx].count as u64 - 1);
-                self.lane_workload[lane as usize] += cost;
+                self.stats.lane_ppe[lane as usize] += cost;
             }
         }
 
         fn oracle_argmin_lane(&self) -> u8 {
             let mut best = 0usize;
-            for (l, &w) in self.lane_workload.iter().enumerate() {
-                if w < self.lane_workload[best] {
+            for (l, &w) in self.stats.lane_ppe.iter().enumerate() {
+                if w < self.stats.lane_ppe[best] {
                     best = l;
                 }
             }
@@ -955,6 +1036,7 @@ mod oracle {
             "tile stats; {}",
             ctx()
         );
+        assert_eq!(TileStats::from_scoreboard(&got), TileStats::walk(&got), "tallies; {}", ctx());
         let (got, want) =
             (ExecutionPlan::from_scoreboard(&got), ExecutionPlan::from_scoreboard(&want));
         assert_eq!(got.lanes(), want.lanes(), "plan lanes; {}", ctx());
@@ -1022,7 +1104,9 @@ mod oracle {
         for width in 1..=12 {
             let max_distances: Vec<u8> = (1..=width as u8 + 1).collect();
             let seeds = if width <= 8 { 4 } else { 1 };
-            check_width(width, seeds, &max_distances, &[0, 1, 2, 3, width + 1]);
+            // Lanes 17 and 254 put the highest real lane ids (254 is the
+            // last below NO_LANE) next to the lane table's sentinel slot.
+            check_width(width, seeds, &max_distances, &[0, 1, 2, 3, width + 1, 17, 254]);
         }
     }
 
@@ -1030,6 +1114,53 @@ mod oracle {
     fn set_bit_walks_match_the_oracle_at_width_16() {
         // A cap of 1 makes all 65,535 rows of the full set outliers.
         check_width(16, 1, &[1, 2, HW_MAX_DISTANCE, MAX_DISTANCE as u8], &[0, 3]);
+    }
+
+    #[test]
+    fn tallied_stats_match_the_walk_at_width_16_under_every_cap() {
+        let seed = 16 << 32;
+        for (kind, patterns) in multisets(16, seed) {
+            for max_distance in 1..=MAX_DISTANCE as u8 {
+                for balance in [BalancePolicy::WorkloadCounter, BalancePolicy::FirstCandidate] {
+                    for lanes in [0, 3] {
+                        let cfg = ScoreboardConfig { width: 16, max_distance, lanes, balance };
+                        let sb = Scoreboard::build(cfg, patterns.iter().copied());
+                        let walked = TileStats::walk(&sb);
+                        assert_eq!(walked.lane_ppe, sb.lane_workload(), "{kind}, {cfg:?}");
+                        assert_eq!(TileStats::from_scoreboard(&sb), walked, "{kind}, {cfg:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The workload counter the balance pass scores by is the per-lane PPE
+    /// cycle count: every placed node adds its count (a transit stop 1),
+    /// every outlier its popcount plus its duplicates. The walk derives
+    /// `lane_ppe` from the node entries alone, so this checks the counter
+    /// against the forest it built.
+    #[test]
+    fn lane_ppe_is_the_workload_counter() {
+        for width in 1..=12 {
+            let seed = u64::from(width) << 32 | 7;
+            for (kind, patterns) in multisets(width, seed) {
+                for max_distance in 1..=width as u8 + 1 {
+                    for balance in [BalancePolicy::WorkloadCounter, BalancePolicy::FirstCandidate] {
+                        for lanes in [0, 1, 3, 17, 254] {
+                            let cfg = ScoreboardConfig { width, max_distance, lanes, balance };
+                            let sb = Scoreboard::build(cfg, patterns.iter().copied());
+                            let stats = TileStats::from_scoreboard(&sb);
+                            assert_eq!(stats.lane_ppe, sb.lane_workload(), "{kind}, {cfg:?}");
+                            assert_eq!(
+                                TileStats::walk(&sb).lane_ppe,
+                                sb.lane_workload(),
+                                "{kind}, {cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub struct TileStats {
     /// [`TileStats::outlier_rows`].
     pub distance_rows: [u64; 18],
     /// PPE cycles per lane: rows + transit + outlier extras in that lane.
+    /// These are the balance pass's workload counters, equal to
+    /// [`Scoreboard::lane_workload`].
     pub lane_ppe: Vec<u64>,
     /// APE cycles per lane: rows accumulated in that lane.
     pub lane_ape: Vec<u64>,
@@ -52,60 +54,23 @@ pub struct TileStats {
 }
 
 impl TileStats {
-    /// Gathers statistics from a built Scoreboard.
+    /// Gathers statistics from a built Scoreboard. The build tallies them
+    /// as its balance pass places each node, so this copies O(lanes) data;
+    /// `lane_ppe` is [`Scoreboard::lane_workload`].
     pub fn from_scoreboard(sb: &Scoreboard) -> Self {
-        let cfg = *sb.config();
-        let lanes = cfg.effective_lanes() as usize;
-        let mut s = TileStats {
-            width: cfg.width,
-            rows: sb.rows(),
-            zero_rows: sb.node(0).count as usize,
-            dense_bit_ops: sb.rows() as u64 * cfg.width as u64,
-            lane_ppe: vec![0; lanes],
-            lane_ape: vec![0; lanes],
-            scoreboard_cycles: {
-                let distinct = sb.rows().min(1usize << cfg.width) as u64;
-                distinct.div_ceil(cfg.width as u64)
-            },
-            sort_depth: bitonic_depth(sb.rows()),
-            ..TileStats::default()
-        };
-        for p in sb.active_nodes() {
-            let e = sb.node(p);
-            let lane = e.lane as usize;
-            if e.transit {
-                s.transit_ops += 1;
-                s.lane_ppe[lane] += 1;
-                continue;
-            }
-            // Present node: first occurrence + (count−1) FR duplicates.
-            let count = e.count as u64;
-            s.fr_rows += (count - 1) as usize;
-            if sb.is_outlier(p) {
-                s.outlier_rows += 1;
-                let extra = p.count_ones() as u64 - 1;
-                s.outlier_extra_ops += extra;
-                s.lane_ppe[lane] += count + extra;
-            } else {
-                s.pr_rows += 1;
-                s.lane_ppe[lane] += count;
-                // Clamp into the histogram. Today `distance_rows` is a
-                // fixed 18-slot array, so the clamp target always
-                // exists; the saturating/`get_mut` form keeps this safe
-                // if the histogram ever becomes dynamically sized (a
-                // `len() - 1` on an empty one would underflow) — a
-                // degenerate config then degrades to "unbucketed"
-                // instead of panicking.
-                let cap = s.distance_rows.len().saturating_sub(1);
-                if let Some(bucket) = s.distance_rows.get_mut((e.distance as usize).min(cap)) {
-                    *bucket += count;
-                }
-            }
-            s.lane_ape[lane] += count;
-        }
-        let nonzero_rows = (s.rows - s.zero_rows) as u64;
-        s.total_ops = nonzero_rows + s.transit_ops as u64 + s.outlier_extra_ops;
-        s
+        sb.stats().clone()
+    }
+
+    /// Fills the fields that follow from the row counts once the build
+    /// has tallied `rows` and the per-node classification.
+    pub(crate) fn close(&mut self, zero_rows: usize) {
+        let width = u64::from(self.width);
+        self.zero_rows = zero_rows;
+        self.dense_bit_ops = self.rows as u64 * width;
+        self.scoreboard_cycles = (self.rows.min(1usize << self.width) as u64).div_ceil(width);
+        self.sort_depth = bitonic_depth(self.rows);
+        let nonzero_rows = (self.rows - zero_rows) as u64;
+        self.total_ops = nonzero_rows + self.transit_ops as u64 + self.outlier_extra_ops;
     }
 
     /// Overall density: accumulate ops relative to dense binary GEMM
@@ -213,6 +178,60 @@ impl TileStats {
         }
         self.scoreboard_cycles += other.scoreboard_cycles;
         self.sort_depth = self.sort_depth.max(other.sort_depth);
+    }
+}
+
+/// The reference statistics: one walk over the finished node entries in
+/// forward order, independent of the build's tallies, which must match it
+/// field for field.
+#[cfg(test)]
+impl TileStats {
+    pub(crate) fn walk(sb: &Scoreboard) -> Self {
+        let cfg = *sb.config();
+        let lanes = cfg.effective_lanes() as usize;
+        let mut s = TileStats {
+            width: cfg.width,
+            rows: sb.rows(),
+            zero_rows: sb.node(0).count as usize,
+            dense_bit_ops: sb.rows() as u64 * cfg.width as u64,
+            lane_ppe: vec![0; lanes],
+            lane_ape: vec![0; lanes],
+            scoreboard_cycles: {
+                let distinct = sb.rows().min(1usize << cfg.width) as u64;
+                distinct.div_ceil(cfg.width as u64)
+            },
+            sort_depth: bitonic_depth(sb.rows()),
+            ..TileStats::default()
+        };
+        for p in sb.active_nodes() {
+            let e = sb.node(p);
+            let lane = e.lane as usize;
+            if e.transit {
+                s.transit_ops += 1;
+                s.lane_ppe[lane] += 1;
+                continue;
+            }
+            // Present node: first occurrence + (count−1) FR duplicates.
+            let count = e.count as u64;
+            s.fr_rows += (count - 1) as usize;
+            if sb.is_outlier(p) {
+                s.outlier_rows += 1;
+                let extra = p.count_ones() as u64 - 1;
+                s.outlier_extra_ops += extra;
+                s.lane_ppe[lane] += count + extra;
+            } else {
+                s.pr_rows += 1;
+                s.lane_ppe[lane] += count;
+                let cap = s.distance_rows.len().saturating_sub(1);
+                if let Some(bucket) = s.distance_rows.get_mut((e.distance as usize).min(cap)) {
+                    *bucket += count;
+                }
+            }
+            s.lane_ape[lane] += count;
+        }
+        let nonzero_rows = (s.rows - s.zero_rows) as u64;
+        s.total_ops = nonzero_rows + s.transit_ops as u64 + s.outlier_extra_ops;
+        s
     }
 }
 
