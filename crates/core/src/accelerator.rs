@@ -11,7 +11,7 @@ use crate::unit::{execute_subtile, process_subtile, SubtileReport};
 use std::ops::Range;
 use std::sync::Arc;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, RowsMut};
-use ta_hasse::{ExecScratch, NullSink, PlanCacheStats, ResultSink, SharedPlanCache, StaticSi};
+use ta_hasse::{ExecScratch, PlanCacheStats, SharedPlanCache, StaticSi};
 use ta_quant::MatI32;
 use ta_sim::{transarray_area, EnergyBreakdown, EnergyModel, VpuModel};
 
@@ -295,8 +295,7 @@ impl TransitiveArray {
     /// [`ta_quant::gemm_i32`]) while producing the same performance report
     /// as [`Self::simulate`] without sampling. Operands are assumed
     /// validated. With a multi-worker runtime the weight tiles shard
-    /// across the pool; only the one-shard case feeds a live `sink`, so
-    /// streaming callers pass [`Runtime::serial`].
+    /// across the pool; one shard runs inline on the caller's thread.
     ///
     /// # Errors
     ///
@@ -307,7 +306,6 @@ impl TransitiveArray {
         weights: &MatI32,
         input: &MatI32,
         rt: &Runtime,
-        sink: &mut dyn ResultSink,
     ) -> Result<(MatI32, GemmReport), TaError> {
         let shape = GemmShape::new(weights.rows(), weights.cols(), input.cols());
         let sliced = BitSlicedMatrix::slice_parallel(weights, self.cfg.weight_bits, rt.threads());
@@ -351,31 +349,9 @@ impl TransitiveArray {
             }
         }
         let si_ref = static_si.as_ref();
-        let aggs = if shard_jobs.len() <= 1 {
-            // Serial path: runs inline on the caller's thread and is the
-            // only path that feeds a live streaming sink.
-            shard_jobs
-                .into_iter()
-                .map(|(tiles, acc_rows)| {
-                    self.execute_shard(
-                        &sliced, &staged, si_ref, shape, k_chunks, tiles, acc_rows, sink,
-                    )
-                })
-                .collect()
-        } else {
-            rt.run_shards_with(shard_jobs, |_, tiles, acc_rows| {
-                self.execute_shard(
-                    &sliced,
-                    &staged,
-                    si_ref,
-                    shape,
-                    k_chunks,
-                    tiles,
-                    acc_rows,
-                    &mut NullSink,
-                )
-            })
-        };
+        let aggs = rt.run_shards_with(shard_jobs, |_, tiles, acc_rows| {
+            self.execute_shard(&sliced, &staged, si_ref, shape, k_chunks, tiles, acc_rows)
+        });
         // Exact overflow check on the i64 accumulator: a request fails
         // only when some output element really does not fit `i32`.
         let acc = acc.as_slice();
@@ -389,9 +365,9 @@ impl TransitiveArray {
     }
 
     /// One worker's share of the fused execute path: walks `tiles` in
-    /// serial order, evaluates every sub-tile into its scratch slab,
-    /// streams each computed pattern into `sink`, and accumulates the
-    /// expanded rows into this shard's slice of the output.
+    /// serial order, evaluates every sub-tile into its scratch slab, and
+    /// accumulates the expanded rows into this shard's slice of the
+    /// output.
     #[allow(clippy::too_many_arguments)]
     fn execute_shard(
         &self,
@@ -402,7 +378,6 @@ impl TransitiveArray {
         k_chunks: usize,
         tiles: Range<usize>,
         mut acc_rows: RowsMut<'_, i64>,
-        sink: &mut dyn ResultSink,
     ) -> Agg {
         let t = self.cfg.width as usize;
         let s_bits = self.cfg.weight_bits as usize;
@@ -420,15 +395,8 @@ impl TransitiveArray {
             for kc in 0..k_chunks {
                 src.subtile_patterns_into(nt, kc, &mut patterns);
                 let inputs = staged.view_rows(kc * t, t);
-                let rep = execute_subtile(
-                    &self.cfg,
-                    si_ref,
-                    &patterns,
-                    inputs,
-                    cache,
-                    &mut scratch,
-                    sink,
-                );
+                let rep =
+                    execute_subtile(&self.cfg, si_ref, &patterns, inputs, cache, &mut scratch);
                 agg.add(&rep);
                 // Fused recombination: each weight row's `s_bits` plane
                 // results fold into its output row in one multiply-free
@@ -600,7 +568,7 @@ mod tests {
     impl TransitiveArray {
         /// Executes on the `threads` knob's runtime, panicking on error.
         fn run_exec(&self, weights: &MatI32, input: &MatI32) -> (MatI32, GemmReport) {
-            self.execute(weights, input, &Runtime::new(self.cfg.threads), &mut NullSink).unwrap()
+            self.execute(weights, input, &Runtime::new(self.cfg.threads)).unwrap()
         }
 
         /// Simulates on the `threads` knob's runtime over a borrowed source.

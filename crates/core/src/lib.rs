@@ -14,15 +14,15 @@
 //!   *simulate* request runs tiled layer simulation with deterministic
 //!   sampling for LLM-scale layers. Both return a [`GemmReport`] (cycles,
 //!   DRAM traffic, energy) or a typed [`TaError`], and `ta-serve` runs a
-//!   multi-tenant serving frontend behind them;
-//! * [`execute_subtile`] — one unit processing and
-//!   evaluating one sub-tile (Fig. 8) in dynamic- or static-Scoreboard
-//!   mode, with [`evaluate_subtile`] as its nested-`Vec` oracle;
+//!   multi-tenant serving frontend behind them. Only the output leaves
+//!   the array: the per-node prefix results stay inside the engine, as
+//!   they stay in the unit's prefix buffer (Fig. 7(b));
 //! * [`runtime`] — the std-only scoped-thread worker pool behind the
 //!   `threads` knob, with a bit-exact determinism contract.
 //!
 //! Under the front door there is one engine path per Scoreboard mode: one
-//! plan provider per sub-tile (plan cache on or off) and one sharded
+//! plan provider per sub-tile (plan cache on or off), one unit routine
+//! that processes and evaluates a sub-tile (Fig. 8), and one sharded
 //! walker per request (serial is the one-shard case).
 //!
 //! ## Quick example
@@ -62,7 +62,6 @@ pub use runtime::Runtime;
 pub use session::{GemmRequest, GemmResponse, Session};
 pub use source::{PatternSource, SlicedSource};
 pub use tiling::{dram_traffic, GemmShape, TrafficReport};
-pub use unit::{evaluate_subtile, execute_subtile, SubtileReport};
 
 #[cfg(test)]
 mod proptests {

@@ -10,13 +10,13 @@
 //!   request carrying real matrices (functionally exact, bit-identical
 //!   to [`ta_quant::gemm_i32`]) or a *simulate* request carrying a shape
 //!   plus a [`PatternSource`] (performance-only, LLM-scale);
-//! * results come back as [`GemmResponse`] values, and per-pattern
-//!   streaming is available through the [`ResultSink`] trait.
+//! * results come back as [`GemmResponse`] values: the output matrix
+//!   (execute requests) and the performance report.
 //!
 //! The serving frontend (`ta-serve`), the examples, and the bench suite all
 //! speak this API. Under it there is one engine path per request kind:
 //! every `run_*` flavor differs only in the runtime it hands the engine
-//! (the `threads` knob, or one serial worker) and in its result sink.
+//! (the `threads` knob, or one serial worker).
 //!
 //! # Examples
 //!
@@ -45,7 +45,6 @@ use crate::error::TaError;
 use crate::runtime::Runtime;
 use crate::source::PatternSource;
 use crate::tiling::GemmShape;
-use ta_hasse::{NullSink, ResultSink};
 use ta_quant::MatI32;
 
 /// One unit of work for a [`Session`]: an exact GEMM execution or a
@@ -180,7 +179,7 @@ impl Session {
     /// (sources are lazy, so only the run can see their patterns).
     pub fn run(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        self.run_validated(request, &Runtime::new(self.config().threads), &mut NullSink)
+        self.run_validated(request, &Runtime::new(self.config().threads))
     }
 
     /// [`Self::run`] pinned to one worker: the whole request executes
@@ -194,23 +193,7 @@ impl Session {
     /// Same as [`Self::run`].
     pub fn run_serial(&self, request: GemmRequest) -> Result<GemmResponse, TaError> {
         self.validate(&request)?;
-        self.run_validated(request, &Runtime::serial(), &mut NullSink)
-    }
-
-    /// [`Self::run_serial`] that streams every computed pattern result
-    /// of an execute request into `sink` as it is finalized (simulate
-    /// requests produce no functional results and emit nothing).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn run_streaming(
-        &self,
-        request: GemmRequest,
-        sink: &mut dyn ResultSink,
-    ) -> Result<GemmResponse, TaError> {
-        self.validate(&request)?;
-        self.run_validated(request, &Runtime::serial(), sink)
+        self.run_validated(request, &Runtime::serial())
     }
 
     /// Runs many requests concurrently on the session's worker pool and
@@ -230,11 +213,9 @@ impl Session {
             self.validate(request)?;
         }
         let rt = Runtime::new(self.config().threads);
-        rt.run_jobs(requests, |_, request| {
-            self.run_validated(request, &Runtime::serial(), &mut NullSink)
-        })
-        .into_iter()
-        .collect()
+        rt.run_jobs(requests, |_, request| self.run_validated(request, &Runtime::serial()))
+            .into_iter()
+            .collect()
     }
 
     /// Validates a request against the configuration without running it.
@@ -265,15 +246,10 @@ impl Session {
     }
 
     /// The post-validation dispatch shared by every `run_*` flavor.
-    fn run_validated(
-        &self,
-        request: GemmRequest,
-        rt: &Runtime,
-        sink: &mut dyn ResultSink,
-    ) -> Result<GemmResponse, TaError> {
+    fn run_validated(&self, request: GemmRequest, rt: &Runtime) -> Result<GemmResponse, TaError> {
         Ok(match request.kind {
             RequestKind::Execute { weights, input } => {
-                let (output, report) = self.ta.execute(&weights, &input, rt, sink)?;
+                let (output, report) = self.ta.execute(&weights, &input, rt)?;
                 GemmResponse { output: Some(output), report }
             }
             RequestKind::Simulate { shape, mut source } => {
@@ -291,7 +267,6 @@ mod tests {
     use crate::error::ConfigError;
     use crate::source::SlicedSource;
     use ta_bitslice::BitSlicedMatrix;
-    use ta_hasse::VecSink;
     use ta_quant::gemm_i32;
 
     fn small_cfg() -> TransArrayConfig {
@@ -564,40 +539,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_emits_every_computed_pattern_and_stays_exact() {
-        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-            let cfg = TransArrayConfig { scoreboard_mode: mode, ..small_cfg() };
-            let session = Session::new(cfg).unwrap();
-            let w = det_mat(10, 13, 4, 11);
-            let x = det_mat(13, 7, 8, 12);
-            let mut sink = VecSink::new();
-            let resp = session
-                .run_streaming(GemmRequest::execute(w.clone(), x.clone()), &mut sink)
-                .unwrap();
-            assert_eq!(resp.output.as_ref().unwrap(), &gemm_i32(&w, &x), "{mode:?}");
-            let want = session.run_serial(GemmRequest::execute(w, x)).unwrap();
-            assert_eq!(resp, want, "{mode:?}: streaming must not change the response");
-            assert!(!sink.emitted.is_empty(), "{mode:?}: sink must see emissions");
-            assert!(
-                sink.emitted.iter().all(|(p, v)| *p != 0 && !v.is_empty()),
-                "{mode:?}: only non-trivial patterns are computed"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_with_plan_cache_still_emits_on_hits() {
+    fn warm_plan_cache_replay_is_bit_identical() {
         let cfg = small_cfg().to_builder().plan_cache(64).build().unwrap();
         let session = Session::new(cfg).unwrap();
         let w = det_mat(12, 17, 4, 13);
         let x = det_mat(17, 5, 8, 14);
-        let mut cold = VecSink::new();
-        let a =
-            session.run_streaming(GemmRequest::execute(w.clone(), x.clone()), &mut cold).unwrap();
-        let mut warm = VecSink::new();
-        let b = session.run_streaming(GemmRequest::execute(w, x), &mut warm).unwrap();
-        assert_eq!(a, b, "warm replay must be bit-identical");
-        assert_eq!(cold.emitted, warm.emitted, "cache hits must stream the same chunks");
+        let cold = session.run_serial(GemmRequest::execute(w.clone(), x.clone())).unwrap();
+        let warm = session.run_serial(GemmRequest::execute(w, x)).unwrap();
+        assert_eq!(cold, warm, "warm replay must be bit-identical");
         assert!(session.accelerator().plan_cache_stats().unwrap().hits > 0);
     }
 

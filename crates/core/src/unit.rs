@@ -8,21 +8,21 @@
 //! Functional evaluation is slab-resident: every diff-bit add lands in an
 //! [`ExecScratch`] whose row accumulation runs through the word-parallel
 //! `ta_bitslice::kernels` facade (fused multi-row adds), so no per-bit
-//! inner loop survives on the unit's execution path — the nested-`Vec`
-//! oracles ([`evaluate_subtile`], `ExecutionPlan::evaluate`) are the only
-//! remaining bit-at-a-time walkers, retained for equivalence testing.
+//! inner loop survives on the unit's execution path. The tests check it
+//! against the definition: each row's result is the sum of the input
+//! rows its pattern selects.
 
 use crate::config::{ScoreboardMode, TransArrayConfig};
 use std::sync::Arc;
 use ta_bitslice::{bitonic_depth, TileView};
 use ta_hasse::{
-    CachedPlan, ExecScratch, ExecutionPlan, PlanKey, ResultSink, Scoreboard, SharedPlanCache,
-    StaticSi, StaticTileReport, TileStats,
+    CachedPlan, ExecScratch, NullSink, PlanKey, SharedPlanCache, StaticSi, StaticTileReport,
+    TileStats,
 };
 
 /// Per-sub-tile performance report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SubtileReport {
+pub(crate) struct SubtileReport {
     /// TransRows processed.
     pub rows: usize,
     /// Accumulate ops (PPE slots incl. transit + outlier extras).
@@ -189,59 +189,33 @@ pub(crate) fn process_subtile(
 /// slab: row `r`'s result is `scratch.result(patterns[r])` afterwards
 /// (zero rows have no slab entry — their result is all zeros by
 /// definition). Reusing one scratch across many sub-tiles allocates
-/// nothing beyond the plan itself once the arena is warm. Each computed
-/// pattern is additionally emitted into `sink` as its slab slice is
-/// finalized (pass [`ta_hasse::NullSink`] when nothing streams).
+/// nothing beyond the plan itself once the arena is warm.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.rows()` disagrees with the width, or static mode
 /// lacks an SI.
-pub fn execute_subtile(
+pub(crate) fn execute_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
     inputs: TileView<'_>,
     cache: Option<&SharedPlanCache>,
     scratch: &mut ExecScratch,
-    sink: &mut dyn ResultSink,
 ) -> SubtileReport {
     let plan = subtile_plan(cfg, static_si, patterns, cache, true);
     match &*plan {
         CachedPlan::Dynamic { .. } => plan
             .dynamic_plan(&cfg.scoreboard_config(), patterns)
-            .evaluate_into(inputs, scratch, sink),
-        CachedPlan::Static { .. } => {
-            expect_si(static_si).evaluate_tile_functional_into(patterns, inputs, scratch, sink)
-        }
+            .evaluate_into(inputs, scratch, &mut NullSink),
+        CachedPlan::Static { .. } => expect_si(static_si).evaluate_tile_functional_into(
+            patterns,
+            inputs,
+            scratch,
+            &mut NullSink,
+        ),
     }
     report_from_plan(cfg, patterns, &plan)
-}
-
-/// Expands per-pattern results into per-row results (zero rows yield zero
-/// vectors; duplicate rows share the computed vector). Compatibility path
-/// behind [`evaluate_subtile`]'s nested-`Vec` interface — the fused engine
-/// ([`execute_subtile`]) needs no expansion at all. Indexes the
-/// computed set via a sorted `O(|computed| log |computed|)` table rather
-/// than a dense `2^T` lookup, and clones one shared zero template per
-/// zero row instead of rebuilding it.
-fn expand_rows(patterns: &[u16], computed: &[(u16, Vec<i64>)], m: usize) -> Vec<Vec<i64>> {
-    let mut index: Vec<(u16, usize)> =
-        computed.iter().enumerate().map(|(i, (p, _))| (*p, i)).collect();
-    index.sort_unstable_by_key(|&(p, _)| p);
-    let zero = vec![0i64; m];
-    patterns
-        .iter()
-        .map(|&p| {
-            if p == 0 {
-                zero.clone()
-            } else {
-                let at =
-                    index.binary_search_by_key(&p, |&(q, _)| q).expect("pattern must be computed");
-                computed[index[at].1].1.clone()
-            }
-        })
-        .collect()
 }
 
 /// Crossbar throughput bound for the APE→output-bank writes (§4.4): rows
@@ -262,39 +236,51 @@ fn xbar_conflict_cycles(cfg: &TransArrayConfig, patterns: &[u16]) -> u64 {
     occupancy[..banks].iter().copied().max().unwrap_or(0)
 }
 
-/// Functional evaluation of one sub-tile: returns, for every binary row
-/// of the tile, its accumulated result vector (length `m`), honoring the
-/// configured Scoreboard mode. Zero rows yield zero vectors.
-///
-/// `inputs[j]` is the input-matrix row for TransRow bit `j` (length `m`).
-///
-/// # Panics
-///
-/// Panics if input arity disagrees with the width, or static mode lacks
-/// an SI.
-pub fn evaluate_subtile(
-    cfg: &TransArrayConfig,
-    static_si: Option<&StaticSi>,
-    patterns: &[u16],
-    inputs: &[Vec<i64>],
-) -> Vec<Vec<i64>> {
-    let computed: Vec<(u16, Vec<i64>)> = match cfg.scoreboard_mode {
-        ScoreboardMode::Dynamic => {
-            let sb = Scoreboard::build(cfg.scoreboard_config(), patterns.iter().copied());
-            ExecutionPlan::from_scoreboard(&sb).evaluate(inputs)
-        }
-        ScoreboardMode::Static => expect_si(static_si).evaluate_tile_functional(patterns, inputs),
-    };
-    expand_rows(patterns, &computed, inputs.first().map_or(0, Vec::len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ta_hasse::{NullSink, ScoreboardConfig};
+    use ta_hasse::ScoreboardConfig;
 
     fn cfg() -> TransArrayConfig {
         TransArrayConfig { width: 4, max_transrows: 8, weight_bits: 4, ..Default::default() }
+    }
+
+    /// The definition every mode must meet: row `r`'s result is the sum
+    /// of the input rows whose bits `patterns[r]` sets.
+    fn subset_sums(patterns: &[u16], inputs: &[Vec<i64>]) -> Vec<Vec<i64>> {
+        let m = inputs.first().map_or(0, Vec::len);
+        patterns
+            .iter()
+            .map(|&p| {
+                (0..m)
+                    .map(|c| {
+                        (0..inputs.len()).filter(|j| p >> j & 1 == 1).map(|j| inputs[j][c]).sum()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs [`execute_subtile`] on a fresh scratch and reads every row's
+    /// result back (zero rows have no slab entry and read as zeros).
+    fn executed_rows(
+        c: &TransArrayConfig,
+        si: Option<&StaticSi>,
+        patterns: &[u16],
+        inputs: &[Vec<i64>],
+    ) -> Vec<Vec<i64>> {
+        let m = inputs.first().map_or(0, Vec::len);
+        let staged: Vec<i64> = inputs.iter().flatten().copied().collect();
+        let mut scratch = ExecScratch::new();
+        execute_subtile(
+            c,
+            si,
+            patterns,
+            TileView::new(&staged, inputs.len(), m, m),
+            None,
+            &mut scratch,
+        );
+        patterns.iter().map(|&p| scratch.result(p).map_or(vec![0; m], <[i64]>::to_vec)).collect()
     }
 
     #[test]
@@ -327,7 +313,7 @@ mod tests {
         let c = cfg();
         let patterns = [0b1011u16, 0b1111, 0b0011, 0b0010, 0];
         let inputs: Vec<Vec<i64>> = vec![vec![6, 1], vec![-2, 2], vec![-5, 3], vec![4, 4]];
-        let rows = evaluate_subtile(&c, None, &patterns, &inputs);
+        let rows = executed_rows(&c, None, &patterns, &inputs);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0], vec![6 - 2 + 4, 1 + 2 + 4]);
         assert_eq!(rows[1], vec![6 - 2 - 5 + 4, 1 + 2 + 3 + 4]);
@@ -343,9 +329,10 @@ mod tests {
         let patterns = [0b0111u16, 0b0101, 0b1111, 0b0001, 0b0101];
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
         let inputs: Vec<Vec<i64>> = (0..4).map(|j| vec![j as i64 * 3 - 4]).collect();
-        let d = evaluate_subtile(&dyn_cfg, None, &patterns, &inputs);
-        let s = evaluate_subtile(&sta_cfg, Some(&si), &patterns, &inputs);
+        let d = executed_rows(&dyn_cfg, None, &patterns, &inputs);
+        let s = executed_rows(&sta_cfg, Some(&si), &patterns, &inputs);
         assert_eq!(d, s);
+        assert_eq!(d, subset_sums(&patterns, &inputs));
     }
 
     #[test]
@@ -355,7 +342,7 @@ mod tests {
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), [0b0001u16]);
         let patterns = [0b1010u16];
         let inputs: Vec<Vec<i64>> = (0..4).map(|j| vec![1i64 << j]).collect();
-        let rows = evaluate_subtile(&sta_cfg, Some(&si), &patterns, &inputs);
+        let rows = executed_rows(&sta_cfg, Some(&si), &patterns, &inputs);
         assert_eq!(rows[0], vec![0b1010]);
     }
 
@@ -406,48 +393,57 @@ mod tests {
         }
     }
 
+    /// A fixed tile with a zero row and a duplicate, plus seeded random
+    /// sub-tiles at several input widths: `(patterns, inputs)` with one
+    /// input row per TransRow bit.
+    fn fused_cases() -> Vec<(Vec<u16>, Vec<Vec<i64>>)> {
+        let mut cases = vec![(
+            vec![0b0111u16, 0b0101, 0b1111, 0, 0b0101],
+            (0..4).map(|j| vec![j as i64 * 5 - 7, j as i64]).collect(),
+        )];
+        let mut state = 515u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
+            let patterns = (0..rows).map(|_| (next() & 0xF) as u16).collect();
+            let inputs = (0..4).map(|_| (0..m).map(|_| (next() % 121) as i64 - 60).collect());
+            cases.push((patterns, inputs.collect()));
+        }
+        cases
+    }
+
     #[test]
     fn fused_process_and_evaluate_matches_split_calls() {
         let dyn_cfg = cfg();
         let sta_cfg = TransArrayConfig { scoreboard_mode: ScoreboardMode::Static, ..cfg() };
-        let patterns = [0b0111u16, 0b0101, 0b1111, 0, 0b0101];
-        let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        let inputs: Vec<Vec<i64>> = (0..4).map(|j| vec![j as i64 * 5 - 7, j as i64]).collect();
-        let staged: Vec<i64> = inputs.iter().flat_map(|r| r.iter().copied()).collect();
-        let view = TileView::new(&staged, 4, 2, 2);
-        // One dirty scratch shared across every mode/cache combination —
-        // reuse must never leak a previous sub-tile's results.
+        // One dirty scratch shared across every tile, mode and cache
+        // state — reuse must never leak a previous sub-tile's results.
         let mut scratch = ExecScratch::new();
-        for (c, si_opt) in [(&dyn_cfg, None), (&sta_cfg, Some(&si))] {
-            let want_rep = process_subtile(c, si_opt, &patterns, None);
-            let want_rows = evaluate_subtile(c, si_opt, &patterns, &inputs);
-            for cache in [None, Some(SharedPlanCache::new(4))] {
-                let rep = execute_subtile(
-                    c,
-                    si_opt,
-                    &patterns,
-                    view,
-                    cache.as_ref(),
-                    &mut scratch,
-                    &mut NullSink,
-                );
-                assert_eq!(rep, want_rep);
-                assert_scratch_rows(&scratch, &patterns, &want_rows);
-                if let Some(cache) = &cache {
-                    // Warm lookup must also agree.
-                    let rep2 = execute_subtile(
-                        c,
-                        si_opt,
-                        &patterns,
-                        view,
-                        Some(cache),
-                        &mut scratch,
-                        &mut NullSink,
-                    );
-                    assert_eq!(rep2, want_rep);
+        for (patterns, inputs) in fused_cases() {
+            let m = inputs[0].len();
+            let staged: Vec<i64> = inputs.iter().flatten().copied().collect();
+            let view = TileView::new(&staged, 4, m, m);
+            let want_rows = subset_sums(&patterns, &inputs);
+            let si =
+                StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
+            for (c, si_opt) in [(&dyn_cfg, None), (&sta_cfg, Some(&si))] {
+                let want_rep = process_subtile(c, si_opt, &patterns, None);
+                let cache = SharedPlanCache::new(4);
+                for (state, cache) in
+                    [("off", None), ("cold", Some(&cache)), ("warm", Some(&cache))]
+                {
+                    let rep = execute_subtile(c, si_opt, &patterns, view, cache, &mut scratch);
+                    assert_eq!(rep, want_rep, "{:?} cache {state} m={m}", c.scoreboard_mode);
                     assert_scratch_rows(&scratch, &patterns, &want_rows);
-                    assert!(cache.stats().hits >= 1);
                 }
+                assert_eq!(
+                    cache.stats().hits,
+                    1,
+                    "{:?}: the warm pass must hit",
+                    c.scoreboard_mode
+                );
             }
         }
     }

@@ -35,8 +35,9 @@ pub const PACKED_PREFIX_FIELDS: usize = 4;
 impl PackedEntry {
     /// Packs a node entry (pattern + fields) at the given TransRow width.
     ///
-    /// Counts saturate at 255 (the 8-bit Count field); distances beyond 4
-    /// are not representable (the hardware treats them as outliers) and
+    /// Counts saturate at 255 (the 8-bit Count field). The entry's prefix
+    /// bitmap goes into the field of its distance; distances beyond 4 are
+    /// not representable (the hardware treats them as outliers) and
     /// their prefix bitmaps are dropped.
     ///
     /// # Panics
@@ -45,7 +46,6 @@ impl PackedEntry {
     pub fn pack(width: u32, pattern: u16, entry: &NodeEntry) -> Self {
         assert!((1..=16).contains(&width), "width must be in 1..=16");
         assert!((pattern as u32) < (1u32 << width), "pattern exceeds width");
-        let t = width as u128;
         let mut bits: u128 = 0;
         let mut off = 0u32;
         let mut put = |v: u128, len: u32, off: &mut u32| {
@@ -55,14 +55,14 @@ impl PackedEntry {
         };
         put(pattern as u128, width, &mut off);
         put(entry.count.min(255) as u128, 8, &mut off);
-        for d in 0..PACKED_PREFIX_FIELDS {
-            put(entry.prefix_bitmaps[d] as u128, width, &mut off);
+        for d in 1..=PACKED_PREFIX_FIELDS {
+            let bitmap = if usize::from(entry.distance) == d { entry.prefix_bitmap } else { 0 };
+            put(bitmap as u128, width, &mut off);
         }
         let lane = if entry.lane == NO_LANE { (1u128 << 4) - 1 } else { entry.lane as u128 };
         put(lane, 4, &mut off);
         put(entry.suffix_bitmap as u128, width, &mut off);
         debug_assert!(off as usize <= 128);
-        let _ = t;
         Self { bits, width }
     }
 
@@ -199,7 +199,8 @@ mod tests {
             assert_eq!(packed.lane(), Some(e.lane));
             assert_eq!(packed.suffix_bitmap(), e.suffix_bitmap);
             for d in 1..=4u32 {
-                assert_eq!(packed.prefix_bitmap(d), e.prefix_bitmaps[(d - 1) as usize]);
+                let want = if u32::from(e.distance) == d { e.prefix_bitmap } else { 0 };
+                assert_eq!(packed.prefix_bitmap(d), want, "node {p} distance {d}");
             }
         }
     }
@@ -210,7 +211,8 @@ mod tests {
         // suffixes {1011, 1110}.
         let mut e = NodeEntry::empty();
         e.count = 1;
-        e.prefix_bitmaps[0] = 0b1010; // both set bits marked
+        e.distance = 1;
+        e.prefix_bitmap = 0b1010; // both set bits marked
         e.suffix_bitmap = 0b0101; // both clear bits marked
         e.lane = 2;
         let packed = PackedEntry::pack(4, 0b1010, &e);

@@ -13,9 +13,11 @@ use ta_bitslice::TileView;
 /// [`crate::StaticSi::evaluate_tile_functional_into`].
 ///
 /// Results also stay resident in the [`ExecScratch`] slab after the walk,
-/// so callers that accumulate per *row* (the GEMM engine) typically pass
-/// [`NullSink`] and read [`ExecScratch::result`] afterwards; the sink
-/// exists for streaming consumers and for order-sensitive tests.
+/// so the GEMM engine, which accumulates per *row*, passes [`NullSink`]
+/// and reads [`ExecScratch::result`] afterwards. The per-node results
+/// never leave the unit (as in the paper's prefix buffer); the sink is a
+/// hook for tests that read the emission order and for benchmarks that
+/// time the walk alone.
 pub trait ResultSink {
     /// Called once per computed pattern, immediately after its slab slice
     /// is finalized.
@@ -34,33 +36,6 @@ impl ResultSink for NullSink {
 impl<F: FnMut(u16, &[i64])> ResultSink for F {
     fn emit(&mut self, pattern: u16, result: &[i64]) {
         self(pattern, result)
-    }
-}
-
-/// A [`ResultSink`] that records every emission in order — the buffering
-/// building block for streaming consumers (a serving frontend forwarding
-/// chunks over a channel) and for order-sensitive tests.
-#[derive(Debug, Default, Clone)]
-pub struct VecSink {
-    /// `(pattern, result)` pairs in emission order.
-    pub emitted: Vec<(u16, Vec<i64>)>,
-}
-
-impl VecSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drains the recorded emissions, leaving the sink empty for reuse.
-    pub fn drain(&mut self) -> Vec<(u16, Vec<i64>)> {
-        std::mem::take(&mut self.emitted)
-    }
-}
-
-impl ResultSink for VecSink {
-    fn emit(&mut self, pattern: u16, result: &[i64]) {
-        self.emitted.push((pattern, result.to_vec()));
     }
 }
 
@@ -304,10 +279,10 @@ impl ExecutionPlan {
         self.lanes.iter().map(Vec::len).sum::<usize>() + self.outliers.len()
     }
 
-    /// Functionally evaluates the plan: given the `T` input row-vectors of
-    /// the sub-tile (each of length `m`), returns the accumulated result
-    /// vector for every computed pattern, as `(pattern, Vec<i64>)` pairs in
-    /// execution order.
+    /// Test oracle: functionally evaluates the plan. Given the `T` input
+    /// row-vectors of the sub-tile (each of length `m`), returns the
+    /// accumulated result vector for every computed pattern, as
+    /// `(pattern, Vec<i64>)` pairs in execution order.
     ///
     /// This is the golden functional model of the PPE array: each op adds
     /// exactly the diff-bit inputs onto its prefix's buffered result.
@@ -316,7 +291,8 @@ impl ExecutionPlan {
     ///
     /// Panics if `inputs.len() != width` or the row vectors have unequal
     /// lengths.
-    pub fn evaluate(&self, inputs: &[Vec<i64>]) -> Vec<(u16, Vec<i64>)> {
+    #[cfg(test)]
+    pub(crate) fn evaluate(&self, inputs: &[Vec<i64>]) -> Vec<(u16, Vec<i64>)> {
         assert_eq!(inputs.len(), self.width as usize, "need one input row per TransRow bit");
         let m = inputs.first().map_or(0, Vec::len);
         assert!(inputs.iter().all(|v| v.len() == m), "ragged input rows");
@@ -360,15 +336,15 @@ impl ExecutionPlan {
         order
     }
 
-    /// Flat-buffer evaluation: walks the plan writing every add directly
-    /// into `scratch`'s pattern-result slab, emitting each finalized
-    /// pattern to `sink` in the same execution order as
-    /// [`Self::evaluate`]. Results stay readable from
-    /// [`ExecScratch::result`] until the scratch is reused.
+    /// Functionally evaluates the plan: walks it writing every add
+    /// directly into `scratch`'s pattern-result slab, emitting each
+    /// finalized pattern to `sink` in execution order (lane by lane, then
+    /// the outliers). Results stay readable from [`ExecScratch::result`]
+    /// until the scratch is reused.
     ///
     /// Allocation-free once the scratch is warm — this is the hot
-    /// execute-GEMM path; [`Self::evaluate`] is retained as the
-    /// independently-implemented test oracle.
+    /// execute-GEMM path; the allocating `evaluate` is kept as the
+    /// independently implemented test oracle.
     ///
     /// # Panics
     ///

@@ -10,9 +10,10 @@
 //!   flips; nothing is materialized);
 //! * [`Scoreboard`] — record → forward pass (Alg. 1) → backward pass
 //!   (Alg. 2) → balanced forest (Fig. 5);
-//! * [`ExecutionPlan`] — per-lane op streams plus two functional
-//!   evaluators: the allocating oracle (`evaluate`) and the arena-backed
-//!   zero-allocation fast path (`evaluate_into` over an [`ExecScratch`]);
+//! * [`ExecutionPlan`] — per-lane op streams and their arena-backed,
+//!   zero-allocation functional evaluator (`evaluate_into` over an
+//!   [`ExecScratch`]; the allocating oracle it is tested against is
+//!   test-only);
 //! * [`TileStats`] — ZR/TR/FR/PR classification, density, distance
 //!   histograms, per-lane PPE/APE cycles (the quantities of Fig. 9);
 //! * [`StaticSi`] — tensor-level Scoreboard Information with SI-miss
@@ -51,9 +52,7 @@ mod si;
 mod stats;
 
 pub use bitfield::{PackedEntry, PACKED_PREFIX_FIELDS};
-pub use exec::{
-    ExecScratch, ExecutionPlan, NullSink, OpKind, OutlierOp, PlanOp, ResultSink, VecSink,
-};
+pub use exec::{ExecScratch, ExecutionPlan, NullSink, OpKind, OutlierOp, PlanOp, ResultSink};
 pub use graph::HasseGraph;
 pub use node::{NodeEntry, DIST_INF, HW_MAX_DISTANCE, MAX_DISTANCE, NO_LANE};
 pub use plan_cache::{CachedPlan, PlanCache, PlanCacheStats, PlanKey, SharedPlanCache};

@@ -2,8 +2,11 @@
 //!
 //! One entry exists per Hasse node (2^T entries). The hardware packs it
 //! into ~34 bits; we keep the same fields in natural Rust types:
-//! `Count`, `Distance`, four `Prefix Bitmaps` (distances 1–4), a
-//! `Suffix Bitmap`, and the `Lane ID`.
+//! `Count`, `Distance`, one `Prefix Bitmap`, a `Suffix Bitmap`, and the
+//! `Lane ID`. The figure stores prefix bitmaps for distances 1–4, but
+//! after the backward pass (Alg. 2 line 11) only the one at the node's
+//! own distance is non-zero, so that is the one kept; the packed form
+//! ([`crate::PackedEntry`]) places it back in its distance's field.
 //!
 //! Bitmap semantics (the Prefix/Suffix *Translators* of Fig. 6): prefix
 //! bitmap bit `j` names the immediate parent obtained by a 1→0 flip of the
@@ -11,8 +14,8 @@
 //! 0→1 flip. The translators therefore never store full node indices —
 //! exactly the compression the paper describes.
 
-/// Capacity of the prefix-bitmap array — enough for an *unbounded* chain
-/// on 16-bit TransRows (distance ≤ 16, plus one so the cap can sit above
+/// Largest accepted distance cap — enough for an *unbounded* chain on
+/// 16-bit TransRows (distance ≤ 16, plus one so the cap can sit above
 /// every reachable distance). The deployed hardware caps at 4
 /// ([`HW_MAX_DISTANCE`]); the design-space exploration of Fig. 9 runs
 /// uncapped.
@@ -38,10 +41,10 @@ pub struct NodeEntry {
     /// Distance to the nearest *present* ancestor (or to node 0 through
     /// absent chains); [`DIST_INF`] until the forward pass reaches it.
     pub distance: u8,
-    /// Prefix bitmaps for distances 1..=4: bit `j` set in
-    /// `prefix_bitmaps[d-1]` means the immediate parent `node & !(1<<j)`
-    /// leads to a present ancestor at total distance `d`.
-    pub prefix_bitmaps: [u16; MAX_DISTANCE],
+    /// Prefix bitmap at the node's own `distance`: bit `j` set means the
+    /// immediate parent `node & !(1<<j)` leads to a present ancestor at
+    /// that distance. Zero while the distance is [`DIST_INF`].
+    pub prefix_bitmap: u16,
     /// Suffix bitmap filled by the backward pass: bit `j` set means the
     /// child `node | (1<<j)` consumes this node's (transit) result.
     pub suffix_bitmap: u16,
@@ -62,7 +65,7 @@ impl NodeEntry {
         Self {
             count: 0,
             distance: DIST_INF,
-            prefix_bitmaps: [0; MAX_DISTANCE],
+            prefix_bitmap: 0,
             suffix_bitmap: 0,
             lane: NO_LANE,
             transit: false,
@@ -119,6 +122,12 @@ mod tests {
         e.transit = true;
         assert!(!e.is_present(), "transit nodes are not 'present' rows");
         assert!(e.is_active());
+    }
+
+    #[test]
+    fn entry_fits_sixteen_bytes() {
+        // 2^T entries per Scoreboard: at T = 16 every byte is 64 KiB.
+        assert!(std::mem::size_of::<NodeEntry>() <= 16);
     }
 
     #[test]

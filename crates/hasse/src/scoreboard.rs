@@ -285,7 +285,7 @@ impl Scoreboard {
             if best != NONE {
                 debug_assert!((best as usize) < MAX_DISTANCE);
                 node.distance = best + 1;
-                node.prefix_bitmaps[best as usize] = bitmap;
+                node.prefix_bitmap = bitmap;
             }
             // Alg. 1 line 7: unreachable-or-capped nodes do not propagate
             // (note: this also bars capped *present* nodes from serving as
@@ -315,7 +315,7 @@ impl Scoreboard {
             // Alg. 2 line 5: present nodes with 1 < distance < cap trace a
             // path to their nearest prefix through transit stops.
             if self.nodes[idx].count > 0 && dis > 1 && dis < maxd {
-                let bm = self.nodes[idx].prefix_bitmaps[(dis - 1) as usize];
+                let bm = self.nodes[idx].prefix_bitmap;
                 debug_assert!(bm != 0, "distance {dis} recorded but bitmap empty");
                 // Alg. 2 line 7: only the first prefix, to avoid redundant
                 // paths (Fig. 5's node 14 discussion).
@@ -773,8 +773,8 @@ mod oracle {
         fn build_oracle(cfg: ScoreboardConfig, patterns: impl IntoIterator<Item = u16>) -> Self {
             let mut sb = Self::recorded(cfg, patterns);
             sb.stats.lane_ppe = vec![0; cfg.effective_lanes() as usize];
-            sb.oracle_forward();
-            sb.oracle_backward();
+            let prefix_bitmaps = sb.oracle_forward();
+            sb.oracle_backward(&prefix_bitmaps);
             sb.oracle_balance();
             let walked = TileStats::walk(&sb);
             assert_eq!(walked.lane_ppe, sb.stats.lane_ppe, "walked lane_ppe != workload counters");
@@ -784,9 +784,13 @@ mod oracle {
 
         // ---- Step ③: forward pass (Alg. 1) --------------------------------
 
-        fn oracle_forward(&mut self) {
+        /// Returns every node's prefix bitmaps by distance: Alg. 1 pushes
+        /// into the slot of each distance a prefix propagates, and the
+        /// backward pass keeps one of them.
+        fn oracle_forward(&mut self) -> Vec<[u16; MAX_DISTANCE]> {
             let maxd = self.cfg.max_distance;
             let width = self.cfg.width;
+            let mut prefix_bitmaps = vec![[0u16; MAX_DISTANCE]; self.nodes.len()];
             for &i in self.graph.forward_order() {
                 let idx = i as usize;
                 let mut dis = self.nodes[idx].distance;
@@ -808,18 +812,19 @@ mod oracle {
                     let bit = 1u16 << j;
                     if i & bit == 0 {
                         let s = (i | bit) as usize;
-                        self.nodes[s].prefix_bitmaps[(d - 1) as usize] |= bit;
+                        prefix_bitmaps[s][(d - 1) as usize] |= bit;
                         if d < self.nodes[s].distance {
                             self.nodes[s].distance = d;
                         }
                     }
                 }
             }
+            prefix_bitmaps
         }
 
         // ---- Step ④: backward pass (Alg. 2) -------------------------------
 
-        fn oracle_backward(&mut self) {
+        fn oracle_backward(&mut self, prefix_bitmaps: &[[u16; MAX_DISTANCE]]) {
             let maxd = self.cfg.max_distance;
             for &i in self.graph.forward_order().iter().rev() {
                 let idx = i as usize;
@@ -827,7 +832,7 @@ mod oracle {
                 // Alg. 2 line 5: present nodes with 1 < distance < cap trace a
                 // path to their nearest prefix through transit stops.
                 if self.nodes[idx].count > 0 && dis > 1 && dis < maxd {
-                    let bm = self.nodes[idx].prefix_bitmaps[(dis - 1) as usize];
+                    let bm = prefix_bitmaps[idx][(dis - 1) as usize];
                     debug_assert!(bm != 0, "distance {dis} recorded but bitmap empty");
                     // Alg. 2 line 7: only the first prefix, to avoid redundant
                     // paths (Fig. 5's node 14 discussion).
@@ -846,12 +851,7 @@ mod oracle {
                 }
                 // Alg. 2 line 11: keep only the smallest-distance prefix bitmap.
                 if dis != DIST_INF {
-                    let keep = (dis - 1) as usize;
-                    for (d, bm) in self.nodes[idx].prefix_bitmaps.iter_mut().enumerate() {
-                        if d != keep {
-                            *bm = 0;
-                        }
-                    }
+                    self.nodes[idx].prefix_bitmap = prefix_bitmaps[idx][(dis - 1) as usize];
                 }
             }
         }

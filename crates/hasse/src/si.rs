@@ -210,15 +210,16 @@ impl StaticSi {
         rep
     }
 
-    /// Functionally materializes every tile pattern's result vector under
-    /// the static chains: returns `(pattern, accumulated vector)` pairs in
-    /// computation order — the static-mode counterpart of
-    /// [`crate::ExecutionPlan::evaluate`].
+    /// Test oracle: functionally materializes every tile pattern's result
+    /// vector under the static chains and returns `(pattern, accumulated
+    /// vector)` pairs in computation order — the static-mode counterpart
+    /// of `ExecutionPlan::evaluate`.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != width` or the row vectors are ragged.
-    pub fn evaluate_tile_functional(
+    #[cfg(test)]
+    pub(crate) fn evaluate_tile_functional(
         &self,
         patterns: &[u16],
         inputs: &[Vec<i64>],
@@ -242,12 +243,11 @@ impl StaticSi {
         order
     }
 
-    /// Flat-buffer counterpart of [`Self::evaluate_tile_functional`]:
-    /// materializes every tile pattern's result straight into `scratch`'s
-    /// slab, emitting each finalized pattern to `sink` in the same
-    /// computation order. Allocation-free once the scratch is warm (the
-    /// per-tile Hamming sort reuses a scratch-resident buffer);
-    /// [`Self::evaluate_tile_functional`] is retained as the test oracle.
+    /// Materializes every tile pattern's result straight into `scratch`'s
+    /// slab, emitting each finalized pattern to `sink` in computation
+    /// (Hamming) order. Allocation-free once the scratch is warm (the
+    /// per-tile Hamming sort reuses a scratch-resident buffer); the
+    /// allocating `evaluate_tile_functional` is kept as the test oracle.
     ///
     /// # Panics
     ///
@@ -277,7 +277,7 @@ impl StaticSi {
 
     /// Walks `p`'s static chain down to the first computed ancestor (or a
     /// from-scratch stop), then replays it upward into the scratch slab —
-    /// the iterative, slab-resident form of [`Self::materialize_functional`].
+    /// the iterative, slab-resident form of the oracle's recursion.
     /// Chain depth is bounded by the TransRow width (every prefix drops
     /// at least one bit), so the walk uses a fixed-size stack.
     fn materialize_into(
@@ -311,6 +311,7 @@ impl StaticSi {
         }
     }
 
+    #[cfg(test)]
     fn materialize_functional(
         &self,
         p: u16,

@@ -4,8 +4,8 @@
 //! the redesigned `ta-core` request API:
 //!
 //! * [`Server`] — admission queue → shape-bucketing batcher →
-//!   continuous-batching worker pool, all behind
-//!   [`Server::submit`] / [`Server::submit_streaming`];
+//!   continuous-batching worker pool, all behind [`Server::submit`],
+//!   which returns a [`Ticket`] that resolves to the whole response;
 //! * tenant fairness — per-tenant FIFOs drained round-robin, so a
 //!   flooding tenant cannot starve a light one;
 //! * [`BatchPolicy`] — bucket compatible shapes, flush on budget
@@ -71,10 +71,7 @@ mod server;
 
 pub use batcher::BatchPolicy;
 pub use faultpoint::{FaultConfig, FaultSite, FaultStats};
-pub use request::{
-    RejectReason, RequestId, ServeError, ServeResponse, StreamChunk, StreamEvent, StreamTicket,
-    TenantId, Ticket,
-};
+pub use request::{RejectReason, RequestId, ServeError, ServeResponse, TenantId, Ticket};
 pub use server::{ClockMode, Server, ServerConfig, ServerStats, SloPolicy};
 
 #[cfg(test)]
@@ -84,7 +81,7 @@ mod tests {
     use std::time::Duration;
     use ta_core::error::TaError;
     use ta_core::{GemmRequest, GemmShape, PatternSource, Session, TransArrayConfig};
-    use ta_quant::{gemm_i32, MatI32};
+    use ta_quant::MatI32;
 
     use faultpoint::quiet_injected_panics;
 
@@ -165,30 +162,6 @@ mod tests {
         }
         let stats = server.shutdown();
         assert!(stats.padded > 0, "m=3 and m=5 shapes must have been padded");
-    }
-
-    #[test]
-    fn streaming_tickets_deliver_chunks_then_a_terminal_done() {
-        let server = server_with(1, BatchPolicy::default());
-        let w = MatI32::from_fn(8, 16, |r, c| ((r * 5 + c * 3) % 15) as i32 - 7);
-        let x = MatI32::from_fn(16, 4, |r, c| ((r * 7 + c) % 255) as i32 - 127);
-        let st = server.submit_streaming(1, GemmRequest::execute(w.clone(), x.clone())).unwrap();
-        let resp = st.ticket.wait().unwrap();
-        assert_eq!(resp.response.output.as_ref().unwrap(), &gemm_i32(&w, &x));
-        let events: Vec<_> = st.events.try_iter().collect();
-        assert!(events.len() > 1, "streaming must emit per-pattern chunks");
-        for event in &events[..events.len() - 1] {
-            match event {
-                StreamEvent::Chunk(c) => assert_eq!(c.values.len(), 4),
-                other => panic!("non-terminal event {other:?}"),
-            }
-        }
-        assert_eq!(
-            events.last(),
-            Some(&StreamEvent::Done(Ok(()))),
-            "streams end with exactly one terminal Done"
-        );
-        server.shutdown();
     }
 
     #[test]
@@ -283,19 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_resolves_in_flight_streams_with_a_terminal_event() {
-        // Regression (mid-stream shutdown): streaming tickets parked at
-        // shutdown used to lose their sender without a terminal event.
+    fn shutdown_resolves_a_parked_request_on_one_worker() {
         let server = server_with(1, parking_policy());
-        let st = server.submit_streaming(3, small_request()).unwrap();
+        let ticket = server.submit(3, small_request()).unwrap();
         let stats = server.shutdown();
-        assert_eq!(stats.completed, 1, "shutdown drains the parked stream request");
-        let events: Vec<_> = st.events.try_iter().collect();
-        assert!(
-            matches!(events.last(), Some(StreamEvent::Done(Ok(())))),
-            "mid-stream shutdown must end the stream with a terminal Done, got {events:?}"
-        );
-        st.ticket.wait().expect("the parked streaming request still resolves");
+        assert_eq!(stats.completed, 1, "shutdown drains the parked request");
+        let want = small_session(1).run_serial(small_request()).unwrap();
+        assert_eq!(ticket.wait().expect("the parked request resolves").response, want);
     }
 
     #[test]
@@ -367,7 +334,7 @@ mod tests {
         let server = Server::start(small_session(1), config);
         assert_eq!(server.now_ns(), 0, "virtual clock starts frozen at zero");
         let t0 = server.submit(0, small_request()).unwrap();
-        let st = server.submit_streaming(1, small_request()).unwrap();
+        let t1 = server.submit(1, small_request()).unwrap();
         while server.stats().absorbed < 2 {
             std::thread::yield_now();
         }
@@ -381,13 +348,7 @@ mod tests {
             other => panic!("expected Shed, got {other:?}"),
         };
         expect_shed(t0.wait());
-        expect_shed(st.ticket.wait());
-        let events: Vec<_> = st.events.iter().collect();
-        assert_eq!(
-            events,
-            vec![StreamEvent::Done(Err(ServeError::Shed { waited_ns: 2_000, budget_ns: 1_000 }))],
-            "shed streams get their terminal Done"
-        );
+        expect_shed(t1.wait());
         let stats = server.shutdown();
         assert_eq!(stats.shed, 2);
         assert_eq!(stats.completed, 0, "no worker time was spent on blown deadlines");
@@ -444,15 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_on_a_stream_sends_terminal_done_worker_lost() {
+    fn certain_injected_panic_resolves_worker_lost_and_respawns_once() {
         quiet_injected_panics();
         let faults = FaultConfig::new(1, 1_000_000).with_site(FaultSite::WorkerPanic);
         let config = ServerConfig { workers: 1, faults: Some(faults), ..Default::default() };
         let server = Server::start(small_session(1), config);
-        let st = server.submit_streaming(2, small_request()).unwrap();
-        assert_eq!(st.ticket.wait(), Err(ServeError::WorkerLost));
-        let events: Vec<_> = st.events.iter().collect();
-        assert_eq!(events, vec![StreamEvent::Done(Err(ServeError::WorkerLost))]);
+        let ticket = server.submit(2, small_request()).unwrap();
+        assert_eq!(ticket.wait(), Err(ServeError::WorkerLost));
         let stats = server.shutdown();
         assert_eq!((stats.worker_lost, stats.completed), (1, 0));
         assert_eq!(stats.respawned, 1);

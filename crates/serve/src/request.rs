@@ -13,30 +13,6 @@ pub type RequestId = u64;
 /// fairly against each other by the admission queue.
 pub type TenantId = u32;
 
-/// One streamed per-pattern result chunk from an execute request: the
-/// TransRow `pattern` and the accumulator row it produced (one `i64`
-/// per input column, at the batch's possibly padded width).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamChunk {
-    /// The non-trivial TransRow pattern that was computed.
-    pub pattern: u16,
-    /// The per-column dot-product contribution for that pattern.
-    pub values: Vec<i64>,
-}
-
-/// One event on a [`StreamTicket`]'s event channel. Every streaming
-/// request ends with exactly one terminal [`StreamEvent::Done`] —
-/// including on shed, worker loss, and shutdown — so stream consumers
-/// never have to infer an outcome from a silently closed channel.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// A per-pattern partial result, in emission order.
-    Chunk(StreamChunk),
-    /// Terminal event: how the request resolved. `Ok(())` means the
-    /// final response is (or is about to be) on the ticket channel.
-    Done(Result<(), ServeError>),
-}
-
 /// A completed request: the [`GemmResponse`] plus serving metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
@@ -206,26 +182,14 @@ impl Ticket {
     }
 }
 
-/// A [`Ticket`] whose per-pattern results also stream out as they are
-/// computed (via the accelerator's `ResultSink` hook).
-#[derive(Debug)]
-pub struct StreamTicket {
-    /// Resolves to the final response, exactly like a plain ticket.
-    pub ticket: Ticket,
-    /// Receives every [`StreamEvent::Chunk`] in emission order,
-    /// followed by exactly one terminal [`StreamEvent::Done`].
-    pub events: mpsc::Receiver<StreamEvent>,
-}
-
 /// The internal unit the queue, batcher, and workers pass around: the
-/// tenant's request plus its reply channels.
+/// tenant's request plus its reply channel.
 pub(crate) struct Envelope {
     pub(crate) id: RequestId,
     pub(crate) tenant: TenantId,
     pub(crate) request: GemmRequest,
     pub(crate) submitted_at_ns: u64,
     pub(crate) reply: mpsc::Sender<Result<ServeResponse, ServeError>>,
-    pub(crate) stream: Option<mpsc::Sender<StreamEvent>>,
 }
 
 impl Envelope {
@@ -234,13 +198,9 @@ impl Envelope {
         self.request.shape()
     }
 
-    /// Resolves this request with a typed error: the stream (if any)
-    /// gets its terminal [`StreamEvent::Done`] and the ticket gets the
-    /// error. Abandoned tickets/streams are not an error.
+    /// Resolves this request with a typed error on its ticket. An
+    /// abandoned ticket is not an error.
     pub(crate) fn resolve_err(self, err: ServeError) {
-        if let Some(stream) = &self.stream {
-            let _ = stream.send(StreamEvent::Done(Err(err.clone())));
-        }
         let _ = self.reply.send(Err(err));
     }
 }
@@ -250,7 +210,7 @@ pub(crate) fn test_envelope(id: RequestId, tenant: TenantId, request: GemmReques
     // Queue/batcher tests never execute the envelope, so the dropped
     // receiver is harmless (workers ignore send errors anyway).
     let (reply, _) = mpsc::channel();
-    Envelope { id, tenant, request, submitted_at_ns: 0, reply, stream: None }
+    Envelope { id, tenant, request, submitted_at_ns: 0, reply }
 }
 
 #[cfg(test)]
@@ -289,30 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn resolve_err_sends_exactly_one_terminal_stream_event() {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let (stream_tx, stream_rx) = mpsc::channel();
-        let env = Envelope {
-            id: 3,
-            tenant: 0,
-            request: GemmRequest::execute(
-                ta_quant::MatI32::zeros(2, 4),
-                ta_quant::MatI32::zeros(4, 1),
-            ),
-            submitted_at_ns: 0,
-            reply: reply_tx,
-            stream: Some(stream_tx),
-        };
+    fn resolve_err_sends_the_error_to_the_ticket() {
+        let (reply, reply_rx) = mpsc::channel();
+        let request =
+            GemmRequest::execute(ta_quant::MatI32::zeros(2, 4), ta_quant::MatI32::zeros(4, 1));
+        let env = Envelope { id: 3, tenant: 0, request, submitted_at_ns: 0, reply };
         env.resolve_err(ServeError::Shed { waited_ns: 9, budget_ns: 4 });
-        let events: Vec<StreamEvent> = stream_rx.try_iter().collect();
-        assert_eq!(
-            events,
-            vec![StreamEvent::Done(Err(ServeError::Shed { waited_ns: 9, budget_ns: 4 }))]
-        );
-        assert_eq!(
-            reply_rx.try_recv().unwrap(),
-            Err(ServeError::Shed { waited_ns: 9, budget_ns: 4 })
-        );
+        let mut ticket = Ticket { id: 3, reply: reply_rx };
+        assert_eq!(ticket.try_wait(), Some(Err(ServeError::Shed { waited_ns: 9, budget_ns: 4 })));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!   │ SLO admission    │  AdmissionQueue           │ run each request
 //!   │ (per-tenant      │  (tenant round-robin)     │ serially under
 //!   │  depth limit)    │  Batcher (shape buckets,  │ catch_unwind,
-//!   │                  │  budget/deadline flush,   │ stream chunks,
-//!   │                  │  deadline shedding)       │ reply on ticket
+//!   │                  │  budget/deadline flush,   │ reply on ticket
+//!   │                  │  deadline shedding)       │
 //! ```
 //!
 //! Determinism contract: every request executes as its own GEMM,
@@ -43,8 +43,7 @@ use crate::batcher::{BatchJob, BatchPolicy, Batcher};
 use crate::faultpoint::{FaultConfig, FaultPlan, FaultSite, FaultStats};
 use crate::queue::AdmissionQueue;
 use crate::request::{
-    Envelope, RejectReason, RequestId, ServeError, ServeResponse, StreamChunk, StreamEvent,
-    StreamTicket, TenantId, Ticket,
+    Envelope, RejectReason, RequestId, ServeError, ServeResponse, TenantId, Ticket,
 };
 
 /// How long the scheduler stalls when a [`FaultSite::QueueStall`]
@@ -109,7 +108,7 @@ pub struct ServerConfig {
 /// A monotonic snapshot of the server's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Requests admitted by [`Server::submit`] and variants.
+    /// Requests admitted by [`Server::submit`].
     pub submitted: u64,
     /// Responses delivered (successfully executed requests).
     pub completed: u64,
@@ -301,33 +300,6 @@ impl Server {
     /// [`SloPolicy::max_queue_depth`] ([`RejectReason::QueueFull`]).
     /// Rejected requests are never admitted.
     pub fn submit(&self, tenant: TenantId, request: GemmRequest) -> Result<Ticket, ServeError> {
-        self.admit(tenant, request, None)
-    }
-
-    /// [`Self::submit`], but per-pattern results also stream out on the
-    /// returned [`StreamTicket::events`] channel as they are computed,
-    /// always terminated by one [`StreamEvent::Done`]. Simulate
-    /// requests complete normally but stream no chunks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::submit`].
-    pub fn submit_streaming(
-        &self,
-        tenant: TenantId,
-        request: GemmRequest,
-    ) -> Result<StreamTicket, ServeError> {
-        let (event_tx, events) = mpsc::channel();
-        let ticket = self.admit(tenant, request, Some(event_tx))?;
-        Ok(StreamTicket { ticket, events })
-    }
-
-    fn admit(
-        &self,
-        tenant: TenantId,
-        request: GemmRequest,
-        stream: Option<mpsc::Sender<StreamEvent>>,
-    ) -> Result<Ticket, ServeError> {
         self.session
             .validate(&request)
             .map_err(|e| ServeError::Rejected(RejectReason::Invalid(e)))?;
@@ -345,14 +317,8 @@ impl Server {
         }
         let id: RequestId = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = mpsc::channel();
-        let env = Envelope {
-            id,
-            tenant,
-            request,
-            submitted_at_ns: self.inner.now_ns(),
-            reply: reply_tx,
-            stream,
-        };
+        let env =
+            Envelope { id, tenant, request, submitted_at_ns: self.inner.now_ns(), reply: reply_tx };
         self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
         self.cmd_tx
             .as_ref()
@@ -618,9 +584,9 @@ fn worker_loop(ctx: WorkerCtx) {
 }
 
 /// Executes one envelope; returns whether execution panicked (real or
-/// injected). The reply and stream senders live *outside* the unwind
-/// guard, so a panic mid-execution still leaves this worker able to
-/// actively resolve the ticket with [`ServeError::WorkerLost`].
+/// injected). The reply sender lives *outside* the unwind guard, so a
+/// panic mid-execution still leaves this worker able to actively
+/// resolve the ticket with [`ServeError::WorkerLost`].
 fn run_one(ctx: &WorkerCtx, env: Envelope, padded_m: usize, batch_size: usize) -> bool {
     let inner = &ctx.inner;
     // Worker-side shedding: the budget can blow while a job sits in
@@ -631,7 +597,7 @@ fn run_one(ctx: &WorkerCtx, env: Envelope, padded_m: usize, batch_size: usize) -
         inner.fail(env, ServeError::Shed { waited_ns, budget_ns }, &inner.counters.shed);
         return false;
     }
-    let Envelope { id, tenant, request, submitted_at_ns, reply, stream } = env;
+    let Envelope { id, tenant, request, submitted_at_ns, reply } = env;
     let original_m = request.shape().m;
     let request = if request.is_execute() && original_m < padded_m {
         inner.counters.padded.fetch_add(1, Ordering::Relaxed);
@@ -640,24 +606,12 @@ fn run_one(ctx: &WorkerCtx, env: Envelope, padded_m: usize, batch_size: usize) -
         request
     };
     let session = &ctx.session;
-    let stream_tx = stream.clone();
     let faults = &inner.faults;
     let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         if faults.decide(FaultSite::WorkerPanic) {
             panic!("injected worker panic (site worker_panic)");
         }
-        match stream_tx {
-            Some(event_tx) => {
-                // The blanket FnMut ResultSink impl adapts the channel;
-                // a dropped receiver just discards chunks.
-                let mut sink = |pattern: u16, values: &[i64]| {
-                    let _ = event_tx
-                        .send(StreamEvent::Chunk(StreamChunk { pattern, values: values.to_vec() }));
-                };
-                session.run_streaming(request, &mut sink)
-            }
-            None => session.run_serial(request),
-        }
+        session.run_serial(request)
     }));
     match executed {
         Ok(result) => {
@@ -678,19 +632,12 @@ fn run_one(ctx: &WorkerCtx, env: Envelope, padded_m: usize, batch_size: usize) -
                 })
                 .map_err(|e| ServeError::Rejected(RejectReason::Invalid(e)));
             inner.release(tenant);
-            if let Some(stream) = &stream {
-                let done = outcome.as_ref().map(|_| ()).map_err(Clone::clone);
-                let _ = stream.send(StreamEvent::Done(done));
-            }
             let _ = reply.send(outcome); // an abandoned ticket is not an error
             false
         }
         Err(_panic) => {
             inner.counters.worker_lost.fetch_add(1, Ordering::Relaxed);
             inner.release(tenant);
-            if let Some(stream) = &stream {
-                let _ = stream.send(StreamEvent::Done(Err(ServeError::WorkerLost)));
-            }
             let _ = reply.send(Err(ServeError::WorkerLost));
             true
         }

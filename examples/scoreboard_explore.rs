@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example scoreboard_explore`
 
-use transitive_array::hasse::{ExecutionPlan, OpKind, Scoreboard, ScoreboardConfig, TileStats};
+use transitive_array::bitslice::TileView;
+use transitive_array::hasse::{
+    ExecScratch, ExecutionPlan, OpKind, Scoreboard, ScoreboardConfig, TileStats,
+};
 
 fn main() {
     let transrows: Vec<u16> = vec![14, 2, 5, 1, 15, 7, 2];
@@ -60,10 +63,11 @@ fn main() {
     }
     println!("  (* = transit stop materialized by the backward pass)");
 
-    // Evaluate with the paper's Fig. 1 input column [6, -2, -5, 4].
-    let inputs: Vec<Vec<i64>> = vec![vec![6], vec![-2], vec![-5], vec![4]];
+    // Evaluate with the paper's Fig. 1 input column [6, -2, -5, 4]: one
+    // input row per TransRow bit, one column. The closure sink sees each
+    // result in execution order.
+    let inputs = [6i64, -2, -5, 4];
     println!("\nresults with input (bit0..bit3) = [6, -2, -5, 4]:");
-    for (pattern, v) in plan.evaluate(&inputs) {
-        println!("  result[{pattern:04b}] = {}", v[0]);
-    }
+    let mut print = |pattern: u16, v: &[i64]| println!("  result[{pattern:04b}] = {}", v[0]);
+    plan.evaluate_into(TileView::new(&inputs, 4, 1, 1), &mut ExecScratch::new(), &mut print);
 }

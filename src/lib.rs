@@ -55,12 +55,10 @@ pub mod prelude {
         ConfigBuilder, GemmReport, GemmRequest, GemmResponse, GemmShape, ScoreboardMode, Session,
         TransArrayConfig, TransitiveArray,
     };
-    pub use ta_hasse::{NullSink, ResultSink, VecSink};
     pub use ta_quant::{gemm_i32, MatI32};
     pub use ta_serve::{
         BatchPolicy, ClockMode, FaultConfig, FaultSite, FaultStats, RejectReason, ServeError,
-        ServeResponse, Server, ServerConfig, ServerStats, SloPolicy, StreamEvent, StreamTicket,
-        Ticket,
+        ServeResponse, Server, ServerConfig, ServerStats, SloPolicy, Ticket,
     };
 }
 

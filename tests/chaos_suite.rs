@@ -2,8 +2,7 @@
 //!
 //! Every round arms **all** fault sites (`worker_panic`, `queue_stall`,
 //! `batcher_delay`) from a seeded [`FaultConfig`] and replays a seeded
-//! mixed plain/streaming trace, then proves the liveness-and-typed-
-//! errors contract:
+//! trace, then proves the liveness-and-typed-errors contract:
 //!
 //! * **no hangs** — every ticket is waited with a hard
 //!   [`Ticket::wait_timeout`]; a `Timeout` here is a test failure, not
@@ -13,9 +12,7 @@
 //!   never a silently dropped reply;
 //! * **bit-exactness for survivors** — every `Ok` response matches a
 //!   direct serial run bit-for-bit, even when the worker that served it
-//!   was respawned mid-trace;
-//! * **terminal stream events** — every stream ends with exactly one
-//!   `Done` whose payload agrees with the ticket's outcome.
+//!   was respawned mid-trace.
 //!
 //! Fault decisions come from counter-mode splitmix64 streams (no
 //! wall-clock randomness), so a failing round is replayable from the
@@ -74,8 +71,8 @@ fn log_round(label: &str, seed: u64, rate_ppm: u32, workers: usize) {
 }
 
 /// One chaos round: all fault sites armed at `rate_ppm`, a seeded
-/// mixed plain/streaming trace of `count` requests on `workers`
-/// workers. Returns `(completed, worker_lost)`.
+/// trace of `count` requests on `workers` workers. Returns
+/// `(completed, worker_lost)`.
 fn chaos_round(label: &str, seed: u64, rate_ppm: u32, workers: usize, count: usize) -> (u64, u64) {
     quiet_injected_panics();
     log_round(label, seed, rate_ppm, workers);
@@ -90,25 +87,17 @@ fn chaos_round(label: &str, seed: u64, rate_ppm: u32, workers: usize, count: usi
     let direct = session(1);
     let trace = poisson_trace(seed, count, 200, 3, &shapes());
 
-    // Mixed submission: even arrivals plain, odd arrivals streaming.
-    let mut plain = Vec::new();
-    let mut streaming = Vec::new();
-    for (i, arrival) in trace.iter().enumerate() {
-        let request = request_for(arrival, WEIGHT_BITS, ACT_BITS);
-        if i % 2 == 0 {
-            plain.push((arrival, server.submit(arrival.tenant, request).expect("valid request")));
-        } else {
-            let st =
-                server.submit_streaming(arrival.tenant, request).expect("valid stream request");
-            streaming.push((arrival, st));
-        }
-    }
+    let tickets: Vec<_> = trace
+        .iter()
+        .map(|a| {
+            let request = request_for(a, WEIGHT_BITS, ACT_BITS);
+            (a, server.submit(a.tenant, request).expect("valid request"))
+        })
+        .collect();
 
     let (mut completed, mut worker_lost) = (0u64, 0u64);
-    let mut check = |arrival: &transitive_array::serve::loadgen::Arrival,
-                     outcome: Result<ServeResponse, ServeError>|
-     -> bool {
-        match outcome {
+    for (arrival, mut ticket) in tickets {
+        match ticket.wait_timeout(NO_HANG) {
             Ok(resp) => {
                 let want = direct
                     .run_serial(request_for(arrival, WEIGHT_BITS, ACT_BITS))
@@ -118,36 +107,12 @@ fn chaos_round(label: &str, seed: u64, rate_ppm: u32, workers: usize, count: usi
                     "{label}: surviving response must stay bit-identical at {arrival:?}"
                 );
                 completed += 1;
-                true
             }
-            Err(ServeError::WorkerLost) => {
-                worker_lost += 1;
-                false
-            }
+            Err(ServeError::WorkerLost) => worker_lost += 1,
             Err(ServeError::Timeout { waited_ns }) => {
                 panic!("{label}: request hung for {waited_ns} ns — liveness violated")
             }
             Err(e) => panic!("{label}: untyped/unexpected outcome {e}"),
-        }
-    };
-
-    for (arrival, mut ticket) in plain {
-        check(arrival, ticket.wait_timeout(NO_HANG));
-    }
-    for (arrival, mut st) in streaming {
-        let ok = check(arrival, st.ticket.wait_timeout(NO_HANG));
-        // The ticket resolved, so the terminal event is already sent
-        // (streams resolve before the reply on every server path).
-        let events: Vec<_> = st.events.try_iter().collect();
-        let terminal: Vec<_> =
-            events.iter().filter(|e| matches!(e, StreamEvent::Done(_))).collect();
-        assert_eq!(terminal.len(), 1, "{label}: exactly one terminal Done per stream");
-        match (ok, terminal[0]) {
-            (true, StreamEvent::Done(Ok(()))) => {}
-            (false, StreamEvent::Done(Err(ServeError::WorkerLost))) => {}
-            (got, other) => {
-                panic!("{label}: stream terminal {other:?} disagrees with ticket ok={got}")
-            }
         }
     }
 

@@ -258,62 +258,12 @@ fn plan_cache_execute_gemm_bit_identical_across_thread_counts() {
 }
 
 /// Fused-path contract: the arena-backed engine behind execute requests
-/// (`execute_subtile` over a reused, dirty
-/// `ExecScratch`) produces row results bit-identical to the nested-`Vec`
-/// oracle (`evaluate_subtile`) for random sub-tiles in both Scoreboard
-/// modes, with the plan cache off, cold and warm — and the end-to-end
-/// fused GEMM stays lossless and report-identical at threads 1/2/8 with
-/// the plan cache on and off.
+/// stays lossless and report-identical at threads 1/2/8 with the plan
+/// cache on and off, in both Scoreboard modes. (Its per-sub-tile
+/// equivalence with the subset-sum definition, on a reused scratch with
+/// the plan cache off, cold and warm, is a `ta-core` unit test.)
 #[test]
 fn fused_engine_matches_oracle_and_stays_deterministic() {
-    use ta_bitslice::TileView;
-    use ta_hasse::{ExecScratch, NullSink, ScoreboardConfig, SharedPlanCache, StaticSi};
-    use transitive_array::core::{evaluate_subtile, execute_subtile};
-
-    // Per-sub-tile oracle equivalence with one scratch reused (dirty)
-    // across every tile, mode, and cache state.
-    let mut scratch = ExecScratch::new();
-    let mut rng = StreamRng::new(515);
-    for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
-        let patterns: Vec<u16> = (0..rows).map(|_| (rng.next_u64() & 0xF) as u16).collect();
-        let inputs: Vec<Vec<i64>> =
-            (0..4).map(|_| (0..m).map(|_| (rng.next_gaussian() * 30.0) as i64).collect()).collect();
-        let staged: Vec<i64> = inputs.iter().flat_map(|r| r.iter().copied()).collect();
-        let view = TileView::new(&staged, 4, m, m);
-        let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-            let cfg = small_cfg(4, mode);
-            let si_opt = (mode == ScoreboardMode::Static).then_some(&si);
-            let want = evaluate_subtile(&cfg, si_opt, &patterns, &inputs);
-            let cache = SharedPlanCache::new(16);
-            let mut reports = Vec::new();
-            for (state, cache) in [("off", None), ("cold", Some(&cache)), ("warm", Some(&cache))] {
-                reports.push(execute_subtile(
-                    &cfg,
-                    si_opt,
-                    &patterns,
-                    view,
-                    cache,
-                    &mut scratch,
-                    &mut NullSink,
-                ));
-                for (r, (&p, want_row)) in patterns.iter().zip(&want).enumerate() {
-                    if p == 0 {
-                        assert!(want_row.iter().all(|&v| v == 0), "{mode:?} row {r}");
-                    } else {
-                        assert_eq!(
-                            scratch.result(p),
-                            Some(want_row.as_slice()),
-                            "{mode:?} cache {state} m={m} row {r}"
-                        );
-                    }
-                }
-            }
-            assert!(reports.iter().all(|r| *r == reports[0]), "{mode:?}: cache changed a report");
-            assert_eq!(cache.stats().hits, 1, "{mode:?}: the warm pass must hit");
-        }
-    }
-
     // End-to-end: the fused engine at threads 1/2/8 × modes × cache
     // settings agrees with the dense reference and the serial report.
     let w = MatI32::from_fn(37, 29, |r, c| (((r * 29 + c) as i64 * 2654435761 % 15) - 7) as i32);
