@@ -638,34 +638,35 @@ fn measure_exec_allocs() -> f64 {
     }
     let si = StaticSi::from_patterns(cfg.scoreboard_config(), all_patterns);
 
-    let mut staged = RowMajor::<i64>::zeros(k_chunks * t, M);
+    let mut staged = RowMajor::<i32>::zeros(k_chunks * t, M);
     for r in 0..k_chunks * t {
         for (c, v) in staged.row_mut(r).iter_mut().enumerate() {
-            *v = (r as i64 * 31 + c as i64 * 7) % 41 - 20;
+            *v = (r as i32 * 31 + c as i32 * 7) % 41 - 20;
         }
     }
     let s_bits = cfg.weight_bits as usize;
-    let mut acc = RowMajor::<i64>::zeros(cfg.n_tile(), M);
+    let mut acc = RowMajor::<i32>::zeros(cfg.n_tile(), M);
     let mut scratch = ExecScratch::new();
     let mut patterns: Vec<u16> = Vec::new();
 
     // One pass = the execute path's per-worker steady state: re-stage each
     // sub-tile's patterns through the production source path, then run
     // both engines with the engine's recombination.
-    let mut pass = |scratch: &mut ExecScratch, acc: &mut RowMajor<i64>, patterns: &mut Vec<u16>| {
-        for (i, plan) in plans.iter().enumerate() {
-            let (nt, kc) = (i / k_chunks, i % k_chunks);
-            src.subtile_patterns_into(nt, kc, patterns);
-            let inputs: TileView<'_> = staged.view_rows(kc * t, t);
-            // Dynamic engine + recombination.
-            plan.evaluate_into(inputs, scratch, &mut NullSink);
-            for (n, planes) in patterns.chunks_exact(s_bits).enumerate() {
-                scratch.recombine(acc.row_mut(n), planes);
+    let mut pass =
+        |scratch: &mut ExecScratch<i32>, acc: &mut RowMajor<i32>, patterns: &mut Vec<u16>| {
+            for (i, plan) in plans.iter().enumerate() {
+                let (nt, kc) = (i / k_chunks, i % k_chunks);
+                src.subtile_patterns_into(nt, kc, patterns);
+                let inputs: TileView<'_, i32> = staged.view_rows(kc * t, t);
+                // Dynamic engine + recombination.
+                plan.evaluate_into(inputs, scratch, &mut NullSink);
+                for (n, planes) in patterns.chunks_exact(s_bits).enumerate() {
+                    scratch.recombine(acc.row_mut(n), planes);
+                }
+                // Static engine (chain materialization path).
+                si.evaluate_tile_functional_into(patterns, inputs, scratch, &mut NullSink);
             }
-            // Static engine (chain materialization path).
-            si.evaluate_tile_functional_into(patterns, inputs, scratch, &mut NullSink);
-        }
-    };
+        };
     // Warm the arena, sort buffer, pattern buffer, and accumulator.
     pass(&mut scratch, &mut acc, &mut patterns);
     let before = alloc_count::allocations();

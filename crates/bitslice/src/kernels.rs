@@ -3,9 +3,18 @@
 //! Every execution path that used to walk bits one at a time (pattern
 //! extraction, plane slicing, slab row-adds, im2col lowering, popcount
 //! traversal) now funnels through this facade. The kernels operate on
-//! `u64` row words (via [`BinaryMatrix::words`]) or on `chunks_exact`-
-//! unrolled `i64` rows, with masked-tail handling for widths that are not
-//! word multiples.
+//! `u64` row words (via [`BinaryMatrix::words`]) or on integer [`Lane`]
+//! rows, with masked-tail handling for widths that are not word
+//! multiples.
+//!
+//! ## Lane widths
+//!
+//! The exact engine's pattern-result slab is `i32`: a slot sums at most
+//! `T ≤ 16` inputs of at most 16 bits, so `|v| ≤ 2^19`. Every Horner
+//! intermediate and partial output sum of [`recombine_planes`] is a
+//! partial dot product, bounded by `K·2^(S−1)·2^(a−1)`; the engine
+//! accumulates in `i32` when that bound fits `i32` and in `i64` past it,
+//! where its overflow check on the output stays exact.
 //!
 //! ## Tail-masking contract
 //!
@@ -26,6 +35,8 @@
 use crate::binmat::BinaryMatrix;
 use crate::im2col::ConvShape;
 use crate::rowmajor::TileView;
+use std::fmt::Debug;
+use std::ops::{Add, AddAssign, Neg, Shl};
 use ta_quant::MatI32;
 
 // ---------------------------------------------------------------------------
@@ -219,16 +230,34 @@ pub fn slice_patterns(values: &[i32], levels: u32, out: &mut [u16]) {
 }
 
 // ---------------------------------------------------------------------------
-// i64 row kernels (result-slab accumulation)
+// Lane row kernels (result-slab derive and recombination)
 // ---------------------------------------------------------------------------
 
+/// An integer lane of the slab and accumulator rows: `i32` or `i64`.
+///
+/// The engine instantiates the slab at `i32` and the accumulator at
+/// `i32` or `i64` (see the module's lane-width notes); the arithmetic is
+/// exact only while every value fits the lane.
+pub trait Lane:
+    Copy
+    + Default
+    + Debug
+    + Send
+    + Sync
+    + From<i32>
+    + Add<Output = Self>
+    + AddAssign
+    + Neg<Output = Self>
+    + Shl<u32, Output = Self>
+{
+}
+
+impl Lane for i32 {}
+impl Lane for i64 {}
+
 /// `dst[i] += src[i]`, four elements per iteration.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
 #[inline]
-pub fn add_row(dst: &mut [i64], src: &[i64]) {
+fn add_row<T: Lane>(dst: &mut [T], src: &[T]) {
     assert_eq!(dst.len(), src.len(), "add_row: length mismatch");
     let mut d = dst.chunks_exact_mut(4);
     let mut s = src.chunks_exact(4);
@@ -245,12 +274,8 @@ pub fn add_row(dst: &mut [i64], src: &[i64]) {
 
 /// `dst[i] += a[i] + b[i]` in one fused pass — halves the slab traffic of
 /// two separate [`add_row`] calls for multi-bit diff masks.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
 #[inline]
-pub fn add_two_rows(dst: &mut [i64], a: &[i64], b: &[i64]) {
+fn add_two_rows<T: Lane>(dst: &mut [T], a: &[T], b: &[T]) {
     assert_eq!(dst.len(), a.len(), "add_two_rows: length mismatch");
     assert_eq!(dst.len(), b.len(), "add_two_rows: length mismatch");
     let mut d = dst.chunks_exact_mut(4);
@@ -271,12 +296,7 @@ pub fn add_two_rows(dst: &mut [i64], a: &[i64], b: &[i64]) {
 /// the multi-word diff-bit row-add of the PPE slab model. Rows are
 /// consumed two at a time through [`add_two_rows`]; exact integer
 /// addition makes the pairing order-invariant.
-///
-/// # Panics
-///
-/// Panics if a selected row index is `>= inputs.rows()` or row lengths
-/// disagree with `dst`.
-pub fn add_selected_rows(dst: &mut [i64], inputs: TileView<'_>, mut bits: u16) {
+fn add_selected_rows<T: Lane>(dst: &mut [T], inputs: TileView<'_, T>, mut bits: u16) {
     while bits != 0 {
         let j = bits.trailing_zeros() as usize;
         bits &= bits - 1;
@@ -294,21 +314,21 @@ pub fn add_selected_rows(dst: &mut [i64], inputs: TileView<'_>, mut bits: u16) {
 /// `bits`, where slot `p` is `slab[p·m..(p+1)·m]` — the PPE's
 /// prefix-derive op. The first one or two selected rows are fused
 /// into the prefix copy, so a single-bit diff (every in-forest op) is one
-/// read-read-write pass; further rows are added two at a time through
-/// [`add_selected_rows`]. The destination's previous contents are never
-/// read, so a dirty reused slot needs no clearing.
+/// read-read-write pass; further rows are added two at a time. The
+/// destination's previous contents are never read, so a dirty reused
+/// slot needs no clearing.
 ///
 /// # Panics
 ///
 /// Panics if `prefix == node`, either slot lies outside `slab`, a
 /// selected row index is `>= inputs.rows()`, or a selected row's length
 /// is not `m`.
-pub fn derive_slot(
-    slab: &mut [i64],
+pub fn derive_slot<T: Lane>(
+    slab: &mut [T],
     m: usize,
     prefix: usize,
     node: usize,
-    inputs: TileView<'_>,
+    inputs: TileView<'_, T>,
     mut bits: u16,
 ) {
     assert_ne!(prefix, node, "derive_slot: a slot cannot derive from itself");
@@ -340,8 +360,11 @@ pub fn derive_slot(
     add_selected_rows(dst, inputs, bits);
 }
 
-/// Columns per register-resident Horner block of [`recombine_planes`].
-const RECOMBINE_LANES: usize = 8;
+/// Columns per register-resident Horner block of [`recombine_planes`]
+/// (128 bytes of `i32` sums). On an `exec_prefill`-shaped recombine
+/// (x86-64, default target) 32 columns ran faster than 8 at both
+/// accumulator widths.
+const RECOMBINE_LANES: usize = 32;
 
 /// `dst[i] += −slab[planes[S−1]][i]·2^(S−1) + Σ_{s<S−1} slab[planes[s]][i]·2^s`
 /// for `S = planes.len()`, where slot `p` is `slab[p·m..(p+1)·m]` and
@@ -355,23 +378,27 @@ const RECOMBINE_LANES: usize = 8;
 /// sub-block tail runs the same recurrence per element. A zero plane is
 /// passed as a slot that holds zeros (slot 0 of the pattern-result slab).
 ///
+/// The slab is `i32`; the Horner sums and `dst` run at the accumulator
+/// lane `A`, which must hold every partial dot product the planes form
+/// (the caller's bound, see the module's lane-width notes).
+///
 /// # Panics
 ///
 /// Panics if `planes` is empty or a slot lies outside `slab`.
-pub fn recombine_planes(dst: &mut [i64], slab: &[i64], planes: &[u16]) {
+pub fn recombine_planes<A: Lane>(dst: &mut [A], slab: &[i32], planes: &[u16]) {
     let (&sign, lower) = planes.split_last().expect("recombine_planes: no planes");
     let m = dst.len();
     let slot = |p: u16| &slab[p as usize * m..][..m];
     let mut blocks = dst.chunks_exact_mut(RECOMBINE_LANES);
     let mut c0 = 0;
     for out in &mut blocks {
-        let col = |p: u16| -> &[i64; RECOMBINE_LANES] {
+        let col = |p: u16| -> &[i32; RECOMBINE_LANES] {
             slot(p)[c0..c0 + RECOMBINE_LANES].try_into().expect("block is RECOMBINE_LANES long")
         };
-        let mut h = col(sign).map(|x| -x);
+        let mut h = col(sign).map(|x| -A::from(x));
         for &p in lower.iter().rev() {
             for (a, &x) in h.iter_mut().zip(col(p)) {
-                *a = (*a << 1) + x;
+                *a = (*a << 1) + A::from(x);
             }
         }
         for (d, &a) in out.iter_mut().zip(&h) {
@@ -380,7 +407,10 @@ pub fn recombine_planes(dst: &mut [i64], slab: &[i64], planes: &[u16]) {
         c0 += RECOMBINE_LANES;
     }
     for (c, d) in (c0..).zip(blocks.into_remainder()) {
-        let h = lower.iter().rev().fold(-slot(sign)[c], |a, &p| (a << 1) + slot(p)[c]);
+        let h = lower
+            .iter()
+            .rev()
+            .fold(-A::from(slot(sign)[c]), |a, &p| (a << 1) + A::from(slot(p)[c]));
         *d += h;
     }
 }
@@ -480,12 +510,12 @@ mod tests {
     }
 
     /// Largest slab magnitude the exact engine produces: 16 inputs of
-    /// 16-bit activations summed into one pattern result.
+    /// 16-bit activations summed into one pattern result (2^19).
     const SLAB_MAX: i64 = 16 << 15;
 
-    /// `m` values covering the column-block edges of [`recombine_planes`]
-    /// and the kernels' tails.
-    const MS: [usize; 9] = [0, 1, 3, 4, 5, 63, 64, 65, 257];
+    /// `m` values covering the 4-element unroll and the 32-column Horner
+    /// block edges of the kernels and their tails.
+    const MS: [usize; 17] = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 257];
 
     /// Deterministic values with the extremes `±bound` on every fourth
     /// element each way.
@@ -504,47 +534,93 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn derive_slot_matches_scalar() {
+    /// `values` at lane `T`; every value must fit it.
+    fn at<T: Lane + TryFrom<i64>>(values: &[i64]) -> Vec<T> {
+        values.iter().map(|&v| T::try_from(v).ok().expect("value fits the lane")).collect()
+    }
+
+    /// `values` widened back to `i64` for comparison with a scalar oracle.
+    fn wide<T: Lane + Into<i64>>(values: &[T]) -> Vec<i64> {
+        values.iter().map(|&v| v.into()).collect()
+    }
+
+    /// [`derive_slot`] at lane `T` against a scalar `i64` loop: inputs at
+    /// ±2^15 (every row's column 0 at −2^15 and column 1 at 2^15 − 1, so
+    /// a full mask from the zero slot lands on ±2^19), a dirty slab of
+    /// slots at ±2^19 reused across every case.
+    fn check_derive_slot<T: Lane + TryFrom<i64> + Into<i64>>() {
         const SLOTS: usize = 20;
-        let masks = [0u16, 1 << 5, (1 << 3) | (1 << 11), u16::MAX];
+        let masks = [0u16, 1 << 5, (1 << 3) | (1 << 11), 0b111, u16::MAX];
         // Prefix below the node, above it, and the zero slot (outliers).
         let pairs = [(2usize, 7usize), (17, 4), (0, 19)];
         for m in MS {
-            let staged = extreme_values(16 * m, 1 << 15, m as u64);
-            let inputs = TileView::new(&staged, 16, m, m);
-            // One dirty slab reused across every case.
+            let mut staged = extreme_values(16 * m, 1 << 15, m as u64);
+            for j in 0..16 {
+                for (c, v) in [-(1 << 15), (1 << 15) - 1].into_iter().enumerate().take(m) {
+                    staged[j * m + c] = v;
+                }
+            }
+            let staged_t = at::<T>(&staged);
+            let inputs = TileView::new(&staged_t, 16, m, m);
             let mut slab = extreme_values(SLOTS * m, SLAB_MAX, 7);
+            slab[..m].fill(0);
+            let mut slab_t = at::<T>(&slab);
             for bits in masks {
                 for (prefix, node) in pairs {
-                    let before = slab.clone();
-                    derive_slot(&mut slab, m, prefix, node, inputs, bits);
-                    let mut want = before.clone();
+                    derive_slot(&mut slab_t, m, prefix, node, inputs, bits);
                     for i in 0..m {
-                        let mut v = before[prefix * m + i];
+                        let mut v = slab[prefix * m + i];
                         for j in 0..16 {
                             if bits & (1 << j) != 0 {
-                                v += inputs.row(j)[i];
+                                v += staged[j * m + i];
                             }
                         }
-                        want[node * m + i] = v;
+                        slab[node * m + i] = v;
                     }
-                    assert_eq!(slab, want, "m {m} bits {bits:#x} prefix {prefix} node {node}");
+                    let ctx = format!("m {m} bits {bits:#x} prefix {prefix} node {node}");
+                    assert_eq!(wide(&slab_t), slab, "{ctx}");
+                    if bits == u16::MAX && prefix == 0 && m >= 2 {
+                        assert_eq!(slab[node * m..][..2], [-SLAB_MAX, SLAB_MAX - 16], "{ctx}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "cannot derive from itself")]
-    fn derive_slot_rejects_self_prefix() {
-        let staged = [1i64];
-        derive_slot(&mut [0; 4], 1, 2, 2, TileView::new(&staged, 1, 1, 1), 1);
+    fn derive_slot_matches_scalar() {
+        check_derive_slot::<i32>();
+        check_derive_slot::<i64>();
     }
 
     #[test]
-    fn recombine_planes_matches_scalar() {
-        for s_bits in 2..=16usize {
+    #[should_panic(expected = "cannot derive from itself")]
+    fn derive_slot_rejects_self_prefix() {
+        let staged = [1i32];
+        derive_slot(&mut [0; 4], 1, 2, 2, TileView::new(&staged, 1, 1, 1), 1);
+    }
+
+    /// The scalar oracle of [`recombine_planes`]: `dst + Σ_s ±2^s·slot`
+    /// in `i64`, with the last plane negated.
+    fn recombine_oracle(dst: &[i64], slab: &[i64], planes: &[u16]) -> Vec<i64> {
+        let m = dst.len();
+        let mut want = dst.to_vec();
+        for (s, &p) in planes.iter().enumerate() {
+            let w = if s + 1 == planes.len() { -(1i64 << s) } else { 1i64 << s };
+            for (d, &x) in want.iter_mut().zip(&slab[p as usize * m..][..m]) {
+                *d += w * x;
+            }
+        }
+        want
+    }
+
+    /// [`recombine_planes`] at accumulator `A` against the scalar oracle,
+    /// for slots at ±2^19 and plane counts up to `max_s_bits`, onto a
+    /// dirty destination of magnitude `dst_bound`, twice over the same
+    /// destination. The caller picks the bounds so that two passes fit
+    /// `A`.
+    fn check_recombine<A: Lane + TryFrom<i64> + Into<i64>>(max_s_bits: usize, dst_bound: i64) {
+        for s_bits in 2..=max_s_bits {
             for m in MS {
                 // Slot 0 is the zero slot; slots 1..=s_bits hold extreme
                 // plane results, and the sign plane's is always set.
@@ -554,22 +630,83 @@ mod tests {
                 let planes: Vec<u16> = (0..s_bits)
                     .map(|s| if s + 1 < s_bits && s % 3 == 1 { 0 } else { s as u16 + 1 })
                     .collect();
-                let dst0 = extreme_values(m, SLAB_MAX << 16, 99); // dirty
-                let mut want = dst0.clone();
-                for (s, &p) in planes.iter().enumerate() {
-                    let w = if s + 1 == s_bits { -(1i64 << s) } else { 1i64 << s };
-                    for (d, &x) in want.iter_mut().zip(&slab[p as usize * m..][..m]) {
-                        *d += w * x;
-                    }
-                }
-                let mut got = dst0.clone();
+                let dst0 = extreme_values(m, dst_bound, 99);
+                let want = recombine_oracle(&dst0, &slab, &planes);
+                let want2 = recombine_oracle(&want, &slab, &planes);
+                let slab = at::<i32>(&slab);
+                let mut got = at::<A>(&dst0);
                 recombine_planes(&mut got, &slab, &planes);
-                assert_eq!(got, want, "s_bits {s_bits} m {m}");
+                assert_eq!(wide(&got), want, "s_bits {s_bits} m {m}");
                 // Reused destination: a second pass accumulates again.
                 recombine_planes(&mut got, &slab, &planes);
-                for ((g, w), d) in got.iter().zip(&want).zip(&dst0) {
-                    assert_eq!(*g, 2 * w - d, "s_bits {s_bits} m {m} (reused)");
+                assert_eq!(wide(&got), want2, "s_bits {s_bits} m {m} (reused)");
+            }
+        }
+    }
+
+    #[test]
+    fn recombine_planes_matches_scalar() {
+        // i64: every plane count, slot and destination far past i32.
+        check_recombine::<i64>(16, SLAB_MAX << 16);
+        // i32: (2^10 − 1)·2^19 < 2^29 per pass, so two passes onto a
+        // ±2^29 destination stay inside i32.
+        check_recombine::<i32>(10, 1 << 29);
+    }
+
+    /// Plane-consistent slabs whose dot products reach the `i32` bound:
+    /// 16 inputs of 12-bit activations against 16-bit weights give
+    /// `|Σ w·x| ≤ 2^30`, and the destination holds the rest of `±i32::MAX`.
+    /// Both accumulators must land on the exact sums, `±i32::MAX`
+    /// included.
+    #[test]
+    fn recombine_planes_reaches_the_i32_bound() {
+        const T: usize = 16;
+        const S: usize = 16;
+        let (w_min, w_max) = (-(1i64 << (S - 1)), (1i64 << (S - 1)) - 1);
+        let (x_min, x_max) = (-(1i64 << 11), (1i64 << 11) - 1);
+        let head = i64::from(i32::MAX) - (1 << 30);
+        for m in MS {
+            // Weight rows: all-min (h = −v·2^15 hits 2^30 against all-min
+            // inputs), all-max, and random with extremes.
+            let rows = [vec![w_min; T], vec![w_max; T], extreme_values(T, w_max, m as u64)];
+            // Column c: all-min inputs, all-max inputs, then extremes.
+            let x: Vec<i64> = (0..T * m)
+                .map(|i| match i % m {
+                    0 => x_min,
+                    1 => x_max,
+                    _ => extreme_values(1, x_max, i as u64)[0],
+                })
+                .collect();
+            for w in &rows {
+                // Slot s + 1 holds plane s's sum Σ_j bit_s(w_j)·x_j; slot 0
+                // is the zero slot, which the planes never need here.
+                let mut slab = vec![0i64; (S + 1) * m];
+                for s in 0..S {
+                    for (j, &wj) in w.iter().enumerate() {
+                        if (wj >> s) & 1 == 1 {
+                            for c in 0..m {
+                                slab[(s + 1) * m + c] += x[j * m + c];
+                            }
+                        }
+                    }
                 }
+                let planes: Vec<u16> = (1..=S as u16).collect();
+                let dot: Vec<i64> =
+                    (0..m).map(|c| (0..T).map(|j| w[j] * x[j * m + c]).sum()).collect();
+                let dst0: Vec<i64> =
+                    dot.iter().map(|&d| if d >= 0 { head } else { -head }).collect();
+                let want: Vec<i64> = dst0.iter().zip(&dot).map(|(a, b)| a + b).collect();
+                assert_eq!(recombine_oracle(&dst0, &slab, &planes), want, "oracle m {m}");
+                if m >= 1 && w[0] == w_min {
+                    assert_eq!(want[0], i64::from(i32::MAX), "all-min reaches i32::MAX");
+                }
+                let slab = at::<i32>(&slab);
+                let mut got32 = at::<i32>(&dst0);
+                recombine_planes(&mut got32, &slab, &planes);
+                assert_eq!(wide(&got32), want, "i32 m {m}");
+                let mut got64 = dst0.clone();
+                recombine_planes(&mut got64, &slab, &planes);
+                assert_eq!(got64, want, "i64 m {m}");
             }
         }
     }

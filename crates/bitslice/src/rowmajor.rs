@@ -80,15 +80,18 @@ impl<T> RowMajor<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
-}
 
-impl RowMajor<i64> {
+    /// Unwraps the flat row-major buffer.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
     /// Borrows rows `[r0, r0 + rows)` as a [`TileView`].
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the buffer.
-    pub fn view_rows(&self, r0: usize, rows: usize) -> TileView<'_> {
+    pub fn view_rows(&self, r0: usize, rows: usize) -> TileView<'_, T> {
         assert!(r0 + rows <= self.rows, "row range {r0}..{} out of bounds", r0 + rows);
         TileView::new(
             &self.data[r0 * self.cols..(r0 + rows) * self.cols],
@@ -153,7 +156,8 @@ impl<'a, T> RowsMut<'a, T> {
 
 /// A borrowed view of `rows` input rows of length `cols`, laid out at a
 /// fixed `stride` inside one contiguous buffer — what a sub-tile
-/// evaluation reads instead of `&[Vec<i64>]`.
+/// evaluation reads instead of nested row vectors. `T` is the lane type
+/// (the engine stages `i32` inputs).
 ///
 /// # Examples
 ///
@@ -161,26 +165,26 @@ impl<'a, T> RowsMut<'a, T> {
 /// use ta_bitslice::TileView;
 ///
 /// // Two length-2 rows strided 3 apart inside one buffer.
-/// let buf = [1i64, 2, 99, 4, 5, 99];
+/// let buf = [1i32, 2, 99, 4, 5, 99];
 /// let v = TileView::new(&buf, 2, 2, 3);
 /// assert_eq!(v.row(0), &[1, 2]);
 /// assert_eq!(v.row(1), &[4, 5]);
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct TileView<'a> {
-    data: &'a [i64],
+pub struct TileView<'a, T> {
+    data: &'a [T],
     rows: usize,
     cols: usize,
     stride: usize,
 }
 
-impl<'a> TileView<'a> {
+impl<'a, T> TileView<'a, T> {
     /// Wraps `data`: row `r` is `data[r·stride .. r·stride + cols]`.
     ///
     /// # Panics
     ///
     /// Panics if `stride < cols` or the last row exceeds `data`.
-    pub fn new(data: &'a [i64], rows: usize, cols: usize, stride: usize) -> Self {
+    pub fn new(data: &'a [T], rows: usize, cols: usize, stride: usize) -> Self {
         assert!(stride >= cols, "stride {stride} must cover the row length {cols}");
         if rows > 0 {
             let need = (rows - 1) * stride + cols;
@@ -209,7 +213,7 @@ impl<'a> TileView<'a> {
     ///
     /// Panics if `r >= rows`.
     #[inline]
-    pub fn row(&self, r: usize) -> &[i64] {
+    pub fn row(&self, r: usize) -> &[T] {
         assert!(r < self.rows, "row {r} out of bounds");
         &self.data[r * self.stride..r * self.stride + self.cols]
     }

@@ -10,6 +10,7 @@ use crate::tiling::{dram_traffic, GemmShape, TrafficReport};
 use crate::unit::{execute_subtile, process_subtile, SubtileReport};
 use std::ops::Range;
 use std::sync::Arc;
+use ta_bitslice::kernels::Lane;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, RowsMut};
 use ta_hasse::{ExecScratch, PlanCacheStats, SharedPlanCache, StaticSi};
 use ta_quant::MatI32;
@@ -131,6 +132,16 @@ fn walk<T: Send>(
         }
     }
     vec![f(source, 0..sampled)]
+}
+
+/// The read-only operands every execute shard shares.
+#[derive(Clone, Copy)]
+struct ExecCtx<'a> {
+    sliced: &'a BitSlicedMatrix,
+    /// The input staged at `i32`, zero-padded to whole k-chunks.
+    staged: &'a RowMajor<i32>,
+    si: Option<&'a StaticSi>,
+    shape: GemmShape,
 }
 
 /// Per-worker aggregate over a shard of the sub-tile grid.
@@ -297,6 +308,11 @@ impl TransitiveArray {
     /// validated. With a multi-worker runtime the weight tiles shard
     /// across the pool; one shard runs inline on the caller's thread.
     ///
+    /// The slab is `i32` for every configuration. The output accumulates
+    /// in `i32` when [`Self::accumulates_in_i32`] proves every partial
+    /// sum fits, and in `i64` otherwise; only the `i64` path can
+    /// overflow, and its check is exact.
+    ///
     /// # Errors
     ///
     /// [`TaError::AccumulatorOverflow`] when an output element does not
@@ -321,69 +337,85 @@ impl TransitiveArray {
         // Stage the whole input once as a single contiguous row-major
         // buffer (zero-padded past K): sub-tile evaluations borrow `T`
         // consecutive rows as a `TileView` instead of cloning per-chunk
-        // `Vec<Vec<i64>>` copies.
-        let mut staged = RowMajor::<i64>::zeros(k_chunks * t, shape.m);
+        // row copies.
+        let mut staged = RowMajor::<i32>::zeros(k_chunks * t, shape.m);
         for k in 0..shape.k {
-            for (s, &v) in staged.row_mut(k).iter_mut().zip(input.row(k)) {
-                *s = v as i64;
+            staged.row_mut(k).copy_from_slice(input.row(k));
+        }
+        let ctx = ExecCtx { sliced: &sliced, staged: &staged, si: static_si.as_ref(), shape };
+        let (out, aggs) = if self.accumulates_in_i32(shape.k) {
+            let (acc, aggs) = self.accumulate::<i32>(ctx, rt);
+            (MatI32::from_vec(shape.n, shape.m, acc.into_vec()), aggs)
+        } else {
+            let (acc, aggs) = self.accumulate::<i64>(ctx, rt);
+            // Exact overflow check on the i64 accumulator: a request
+            // fails only when some output element really does not fit
+            // `i32`.
+            let acc = acc.as_slice();
+            if let Some(i) = acc.iter().position(|&v| i32::try_from(v).is_err()) {
+                let (row, col) = (i / shape.m, i % shape.m);
+                return Err(TaError::AccumulatorOverflow { row, col, value: acc[i] });
             }
-        }
-
-        // Shard over weight tiles: each worker owns a disjoint row range
-        // of the flat output accumulator, so accumulation needs no
-        // synchronization, and the per-row sum over k-chunks runs in the
-        // serial order (exact integer arithmetic makes it
-        // order-independent regardless).
-        let mut acc = RowMajor::<i64>::zeros(shape.n, shape.m);
-        let shards = rt.shards_for(n_tiles);
-        let mut shard_jobs = Vec::with_capacity(shards.len());
-        {
-            let mut rest: &mut [i64] = acc.as_mut_slice();
-            let mut offset = 0usize;
-            for tiles in shards {
-                let end = (tiles.end * n_tile).min(shape.n);
-                let (rows, tail) = rest.split_at_mut((end - offset) * shape.m);
-                shard_jobs.push((tiles, RowsMut::new(rows, shape.m)));
-                rest = tail;
-                offset = end;
-            }
-        }
-        let si_ref = static_si.as_ref();
-        let aggs = rt.run_shards_with(shard_jobs, |_, tiles, acc_rows| {
-            self.execute_shard(&sliced, &staged, si_ref, shape, k_chunks, tiles, acc_rows)
-        });
-        // Exact overflow check on the i64 accumulator: a request fails
-        // only when some output element really does not fit `i32`.
-        let acc = acc.as_slice();
-        if let Some(i) = acc.iter().position(|&v| i32::try_from(v).is_err()) {
-            let (row, col) = (i / shape.m, i % shape.m);
-            return Err(TaError::AccumulatorOverflow { row, col, value: acc[i] });
-        }
-        let out = MatI32::from_vec(shape.n, shape.m, acc.iter().map(|&v| v as i32).collect());
+            (MatI32::from_vec(shape.n, shape.m, acc.iter().map(|&v| v as i32).collect()), aggs)
+        };
         let report = self.finalize(shape, Agg::merge_shards(&aggs), (n_tiles * k_chunks) as u64);
         Ok((out, report))
     }
 
+    /// Whether a `k`-deep product accumulates exactly in `i32`. Every
+    /// Horner intermediate and partial output sum is a partial dot
+    /// product, so its magnitude is at most `k·2^(S−1)·2^(a−1)` for
+    /// `S`-bit weights and `a`-bit activations (computed in `u128`, so no
+    /// `k` can overflow the bound itself).
+    fn accumulates_in_i32(&self, k: usize) -> bool {
+        let shift = self.cfg.weight_bits - 1 + self.cfg.act_bits - 1;
+        (k as u128) << shift <= i32::MAX as u128
+    }
+
+    /// Shards the weight tiles across the runtime and accumulates every
+    /// output row at lane `A`. Each worker owns a disjoint row range of
+    /// the flat accumulator, so accumulation needs no synchronization,
+    /// and the per-row sum over k-chunks runs in the serial order (exact
+    /// integer arithmetic makes it order-independent regardless).
+    fn accumulate<A: Lane>(&self, ctx: ExecCtx<'_>, rt: &Runtime) -> (RowMajor<A>, Vec<Agg>) {
+        let (n, m) = (ctx.shape.n, ctx.shape.m);
+        let n_tile = self.cfg.n_tile();
+        let mut acc = RowMajor::<A>::zeros(n, m);
+        let shards = rt.shards_for(n.div_ceil(n_tile));
+        let mut shard_jobs = Vec::with_capacity(shards.len());
+        {
+            let mut rest: &mut [A] = acc.as_mut_slice();
+            let mut offset = 0usize;
+            for tiles in shards {
+                let end = (tiles.end * n_tile).min(n);
+                let (rows, tail) = rest.split_at_mut((end - offset) * m);
+                shard_jobs.push((tiles, RowsMut::new(rows, m)));
+                rest = tail;
+                offset = end;
+            }
+        }
+        let aggs = rt.run_shards_with(shard_jobs, |_, tiles, acc_rows| {
+            self.execute_shard(ctx, tiles, acc_rows)
+        });
+        (acc, aggs)
+    }
+
     /// One worker's share of the fused execute path: walks `tiles` in
-    /// serial order, evaluates every sub-tile into its scratch slab, and
-    /// accumulates the expanded rows into this shard's slice of the
-    /// output.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_shard(
+    /// serial order, evaluates every sub-tile into its `i32` scratch
+    /// slab, and accumulates the expanded rows into this shard's slice of
+    /// the output at lane `A`.
+    fn execute_shard<A: Lane>(
         &self,
-        sliced: &BitSlicedMatrix,
-        staged: &RowMajor<i64>,
-        si_ref: Option<&StaticSi>,
-        shape: GemmShape,
-        k_chunks: usize,
+        ctx: ExecCtx<'_>,
         tiles: Range<usize>,
-        mut acc_rows: RowsMut<'_, i64>,
+        mut acc_rows: RowsMut<'_, A>,
     ) -> Agg {
         let t = self.cfg.width as usize;
         let s_bits = self.cfg.weight_bits as usize;
         let n_tile = self.cfg.n_tile();
+        let k_chunks = ctx.shape.k.div_ceil(t);
         let cache = self.plan_cache.as_deref();
-        let mut src = SlicedSource::new(sliced, n_tile, self.cfg.width);
+        let mut src = SlicedSource::new(ctx.sliced, n_tile, self.cfg.width);
         let row_offset = tiles.start * n_tile;
         let mut agg = Agg::default();
         // Per-worker arena + pattern buffer: reused across every
@@ -394,14 +426,14 @@ impl TransitiveArray {
         for nt in tiles {
             for kc in 0..k_chunks {
                 src.subtile_patterns_into(nt, kc, &mut patterns);
-                let inputs = staged.view_rows(kc * t, t);
+                let inputs = ctx.staged.view_rows(kc * t, t);
                 let rep =
-                    execute_subtile(&self.cfg, si_ref, &patterns, inputs, cache, &mut scratch);
+                    execute_subtile(&self.cfg, ctx.si, &patterns, inputs, cache, &mut scratch);
                 agg.add(&rep);
                 // Fused recombination: each weight row's `s_bits` plane
                 // results fold into its output row in one multiply-free
                 // Horner pass. Padding rows past `n` are skipped.
-                let rows = (shape.n - nt * n_tile).min(n_tile);
+                let rows = (ctx.shape.n - nt * n_tile).min(n_tile);
                 for (n_local, planes) in patterns.chunks_exact(s_bits).take(rows).enumerate() {
                     let row = acc_rows.row_mut(nt * n_tile + n_local - row_offset);
                     scratch.recombine(row, planes);
@@ -589,6 +621,39 @@ mod tests {
             sample_limit: 0,
             ..TransArrayConfig::paper_w8()
         }
+    }
+
+    /// The accumulator choice on both sides of `K·2^(S−1)·2^(a−1) ≤
+    /// i32::MAX`.
+    #[test]
+    fn accumulator_is_i32_exactly_up_to_the_bound() {
+        let at = |weight_bits, act_bits| {
+            TransitiveArray::new(TransArrayConfig {
+                weight_bits,
+                act_bits,
+                max_transrows: 16 * weight_bits as usize,
+                ..TransArrayConfig::paper_w8()
+            })
+        };
+        // w16/a8: 511·2^22 = 2,143,289,344 fits; 512·2^22 = 2^31 does not.
+        let w16a8 = at(16, 8);
+        assert!(w16a8.accumulates_in_i32(511));
+        assert!(!w16a8.accumulates_in_i32(512));
+        // w8/a8 at exec_prefill's K = 1024: 2^24. The largest K that fits
+        // is 2^31 / 2^14 − 1.
+        let w8a8 = at(8, 8);
+        assert!(w8a8.accumulates_in_i32(1024));
+        assert!(w8a8.accumulates_in_i32((1 << 17) - 1));
+        assert!(!w8a8.accumulates_in_i32(1 << 17));
+        // w16/a16: 2^30 per product, so only K = 1 fits.
+        let w16a16 = at(16, 16);
+        assert!(w16a16.accumulates_in_i32(1));
+        assert!(!w16a16.accumulates_in_i32(2));
+        // The bound itself never overflows, whatever K is.
+        assert!(!w16a16.accumulates_in_i32(usize::MAX));
+        // w2/a2: each product is at most (−2)·(−2) = 4.
+        assert!(at(2, 2).accumulates_in_i32(i32::MAX as usize / 4));
+        assert!(!at(2, 2).accumulates_in_i32(i32::MAX as usize / 4 + 1));
     }
 
     fn det_mat(rows: usize, cols: usize, bits: u32, seed: i64) -> MatI32 {

@@ -199,9 +199,9 @@ pub(crate) fn execute_subtile(
     cfg: &TransArrayConfig,
     static_si: Option<&StaticSi>,
     patterns: &[u16],
-    inputs: TileView<'_>,
+    inputs: TileView<'_, i32>,
     cache: Option<&SharedPlanCache>,
-    scratch: &mut ExecScratch,
+    scratch: &mut ExecScratch<i32>,
 ) -> SubtileReport {
     let plan = subtile_plan(cfg, static_si, patterns, cache, true);
     match &*plan {
@@ -247,7 +247,7 @@ mod tests {
 
     /// The definition every mode must meet: row `r`'s result is the sum
     /// of the input rows whose bits `patterns[r]` sets.
-    fn subset_sums(patterns: &[u16], inputs: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    fn subset_sums(patterns: &[u16], inputs: &[Vec<i32>]) -> Vec<Vec<i32>> {
         let m = inputs.first().map_or(0, Vec::len);
         patterns
             .iter()
@@ -267,10 +267,10 @@ mod tests {
         c: &TransArrayConfig,
         si: Option<&StaticSi>,
         patterns: &[u16],
-        inputs: &[Vec<i64>],
-    ) -> Vec<Vec<i64>> {
+        inputs: &[Vec<i32>],
+    ) -> Vec<Vec<i32>> {
         let m = inputs.first().map_or(0, Vec::len);
-        let staged: Vec<i64> = inputs.iter().flatten().copied().collect();
+        let staged: Vec<i32> = inputs.iter().flatten().copied().collect();
         let mut scratch = ExecScratch::new();
         execute_subtile(
             c,
@@ -280,7 +280,7 @@ mod tests {
             None,
             &mut scratch,
         );
-        patterns.iter().map(|&p| scratch.result(p).map_or(vec![0; m], <[i64]>::to_vec)).collect()
+        patterns.iter().map(|&p| scratch.result(p).map_or(vec![0; m], <[i32]>::to_vec)).collect()
     }
 
     #[test]
@@ -312,7 +312,7 @@ mod tests {
     fn dynamic_functional_matches_subset_sums() {
         let c = cfg();
         let patterns = [0b1011u16, 0b1111, 0b0011, 0b0010, 0];
-        let inputs: Vec<Vec<i64>> = vec![vec![6, 1], vec![-2, 2], vec![-5, 3], vec![4, 4]];
+        let inputs: Vec<Vec<i32>> = vec![vec![6, 1], vec![-2, 2], vec![-5, 3], vec![4, 4]];
         let rows = executed_rows(&c, None, &patterns, &inputs);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0], vec![6 - 2 + 4, 1 + 2 + 4]);
@@ -328,7 +328,7 @@ mod tests {
         let sta_cfg = TransArrayConfig { scoreboard_mode: ScoreboardMode::Static, ..cfg() };
         let patterns = [0b0111u16, 0b0101, 0b1111, 0b0001, 0b0101];
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), patterns.iter().copied());
-        let inputs: Vec<Vec<i64>> = (0..4).map(|j| vec![j as i64 * 3 - 4]).collect();
+        let inputs: Vec<Vec<i32>> = (0..4).map(|j| vec![j * 3 - 4]).collect();
         let d = executed_rows(&dyn_cfg, None, &patterns, &inputs);
         let s = executed_rows(&sta_cfg, Some(&si), &patterns, &inputs);
         assert_eq!(d, s);
@@ -341,7 +341,7 @@ mod tests {
         let sta_cfg = TransArrayConfig { scoreboard_mode: ScoreboardMode::Static, ..cfg() };
         let si = StaticSi::from_patterns(ScoreboardConfig::with_width(4), [0b0001u16]);
         let patterns = [0b1010u16];
-        let inputs: Vec<Vec<i64>> = (0..4).map(|j| vec![1i64 << j]).collect();
+        let inputs: Vec<Vec<i32>> = (0..4).map(|j| vec![1i32 << j]).collect();
         let rows = executed_rows(&sta_cfg, Some(&si), &patterns, &inputs);
         assert_eq!(rows[0], vec![0b1010]);
     }
@@ -382,7 +382,7 @@ mod tests {
 
     /// Asserts the scratch holds exactly `want_rows` for `patterns` (zero
     /// rows expect all-zero results and have no slab entry).
-    fn assert_scratch_rows(scratch: &ExecScratch, patterns: &[u16], want_rows: &[Vec<i64>]) {
+    fn assert_scratch_rows(scratch: &ExecScratch<i32>, patterns: &[u16], want_rows: &[Vec<i32>]) {
         assert_eq!(patterns.len(), want_rows.len());
         for (r, (&p, want)) in patterns.iter().zip(want_rows).enumerate() {
             if p == 0 {
@@ -396,10 +396,10 @@ mod tests {
     /// A fixed tile with a zero row and a duplicate, plus seeded random
     /// sub-tiles at several input widths: `(patterns, inputs)` with one
     /// input row per TransRow bit.
-    fn fused_cases() -> Vec<(Vec<u16>, Vec<Vec<i64>>)> {
+    fn fused_cases() -> Vec<(Vec<u16>, Vec<Vec<i32>>)> {
         let mut cases = vec![(
             vec![0b0111u16, 0b0101, 0b1111, 0, 0b0101],
-            (0..4).map(|j| vec![j as i64 * 5 - 7, j as i64]).collect(),
+            (0..4).map(|j| vec![j * 5 - 7, j]).collect(),
         )];
         let mut state = 515u64;
         let mut next = move || {
@@ -408,7 +408,7 @@ mod tests {
         };
         for (m, rows) in [(1usize, 24usize), (3, 40), (7, 64)] {
             let patterns = (0..rows).map(|_| (next() & 0xF) as u16).collect();
-            let inputs = (0..4).map(|_| (0..m).map(|_| (next() % 121) as i64 - 60).collect());
+            let inputs = (0..4).map(|_| (0..m).map(|_| (next() % 121) as i32 - 60).collect());
             cases.push((patterns, inputs.collect()));
         }
         cases
@@ -423,7 +423,7 @@ mod tests {
         let mut scratch = ExecScratch::new();
         for (patterns, inputs) in fused_cases() {
             let m = inputs[0].len();
-            let staged: Vec<i64> = inputs.iter().flatten().copied().collect();
+            let staged: Vec<i32> = inputs.iter().flatten().copied().collect();
             let view = TileView::new(&staged, 4, m, m);
             let want_rows = subset_sums(&patterns, &inputs);
             let si =

@@ -6,6 +6,7 @@
 //! the end (§5.2).
 
 use crate::scoreboard::Scoreboard;
+use ta_bitslice::kernels::Lane;
 use ta_bitslice::TileView;
 
 /// Receives each computed pattern result, in execution order — the fused
@@ -17,11 +18,11 @@ use ta_bitslice::TileView;
 /// and reads [`ExecScratch::result`] afterwards. The per-node results
 /// never leave the unit (as in the paper's prefix buffer); the sink is a
 /// hook for tests that read the emission order and for benchmarks that
-/// time the walk alone.
-pub trait ResultSink {
+/// time the walk alone. `T` is the slab's lane type.
+pub trait ResultSink<T> {
     /// Called once per computed pattern, immediately after its slab slice
     /// is finalized.
-    fn emit(&mut self, pattern: u16, result: &[i64]);
+    fn emit(&mut self, pattern: u16, result: &[T]);
 }
 
 /// A [`ResultSink`] that discards everything (results are read back from
@@ -29,12 +30,12 @@ pub trait ResultSink {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl ResultSink for NullSink {
-    fn emit(&mut self, _pattern: u16, _result: &[i64]) {}
+impl<T> ResultSink<T> for NullSink {
+    fn emit(&mut self, _pattern: u16, _result: &[T]) {}
 }
 
-impl<F: FnMut(u16, &[i64])> ResultSink for F {
-    fn emit(&mut self, pattern: u16, result: &[i64]) {
+impl<T, F: FnMut(u16, &[T])> ResultSink<T> for F {
+    fn emit(&mut self, pattern: u16, result: &[T]) {
         self(pattern, result)
     }
 }
@@ -47,6 +48,10 @@ impl<F: FnMut(u16, &[i64])> ResultSink for F {
 /// "reset" costs `O(m)` (re-zeroing the empty-pattern slot), not
 /// `O(2^T × m)`.
 ///
+/// `T` is the slab lane. The engine runs `i32`, which is exact for every
+/// configuration `Session` accepts: a slot sums at most 16 inputs of at
+/// most 16 bits, so `|v| ≤ 2^19`.
+///
 /// # Examples
 ///
 /// ```
@@ -55,17 +60,17 @@ impl<F: FnMut(u16, &[i64])> ResultSink for F {
 ///
 /// let sb = Scoreboard::build(ScoreboardConfig::with_width(4), [0b1011u16, 0b0011]);
 /// let plan = ExecutionPlan::from_scoreboard(&sb);
-/// let staged = [6i64, -2, -5, 4]; // m = 1: one input element per bit
+/// let staged = [6i32, -2, -5, 4]; // m = 1: one input element per bit
 /// let mut scratch = ExecScratch::new();
 /// plan.evaluate_into(TileView::new(&staged, 4, 1, 1), &mut scratch, &mut NullSink);
 /// assert_eq!(scratch.result(0b1011), Some(&[6 - 2 + 4][..]));
 /// ```
 #[derive(Debug, Default)]
-pub struct ExecScratch {
+pub struct ExecScratch<T> {
     width: u32,
     m: usize,
     /// `2^width × m` result slab; pattern `p` owns `[p·m, (p+1)·m)`.
-    slab: Vec<i64>,
+    slab: Vec<T>,
     /// Generation stamp per pattern; `stamp[p] == generation` marks `p`
     /// computed in the current sub-tile.
     stamp: Vec<u32>,
@@ -74,7 +79,7 @@ pub struct ExecScratch {
     pub(crate) sort_buf: Vec<u16>,
 }
 
-impl ExecScratch {
+impl<T: Lane> ExecScratch<T> {
     /// Creates an empty arena; buffers grow on first use and are then
     /// reused.
     pub fn new() -> Self {
@@ -91,7 +96,7 @@ impl ExecScratch {
         if self.width != width || self.m != m {
             self.width = width;
             self.m = m;
-            self.slab.resize(patterns * m, 0);
+            self.slab.resize(patterns * m, T::default());
             self.stamp.clear();
             self.stamp.resize(patterns, 0);
             self.generation = 0;
@@ -102,7 +107,7 @@ impl ExecScratch {
             self.stamp.fill(0);
             self.generation = 1;
         }
-        self.slab[..m].fill(0);
+        self.slab[..m].fill(T::default());
         self.stamp[0] = self.generation;
     }
 
@@ -115,7 +120,7 @@ impl ExecScratch {
     /// The current sub-tile's result vector for `pattern` (`None` if the
     /// pattern was not computed — including before any evaluation ran).
     #[inline]
-    pub fn result(&self, pattern: u16) -> Option<&[i64]> {
+    pub fn result(&self, pattern: u16) -> Option<&[T]> {
         if self.computed(pattern) {
             let off = pattern as usize * self.m;
             Some(&self.slab[off..off + self.m])
@@ -135,7 +140,7 @@ impl ExecScratch {
     /// ([`ta_bitslice::kernels::derive_slot`]) — the PPE op. An outlier
     /// or from-scratch node derives from the zero slot, `prefix = 0`.
     #[inline]
-    pub(crate) fn derive(&mut self, prefix: u16, node: u16, inputs: TileView<'_>, bits: u16) {
+    pub(crate) fn derive(&mut self, prefix: u16, node: u16, inputs: TileView<'_, T>, bits: u16) {
         ta_bitslice::kernels::derive_slot(
             &mut self.slab,
             self.m,
@@ -146,28 +151,31 @@ impl ExecScratch {
         );
     }
 
+    /// Emits `pattern`'s finalized slot to the sink.
+    #[inline]
+    pub(crate) fn emit(&self, pattern: u16, sink: &mut (impl ResultSink<T> + ?Sized)) {
+        let off = pattern as usize * self.m;
+        sink.emit(pattern, &self.slab[off..off + self.m]);
+    }
+}
+
+impl ExecScratch<i32> {
     /// Adds one weight row's bit-plane results onto `dst` with the
     /// multiply-free Horner recombination
     /// ([`ta_bitslice::kernels::recombine_planes`]): `planes[s]` is the
     /// pattern of bit plane `s`, the last one the 2's-complement sign
     /// plane. A zero pattern reads the empty-pattern slot, which every
-    /// evaluation re-zeroes and no op writes.
+    /// evaluation re-zeroes and no op writes. The accumulator lane `A`
+    /// must hold every partial dot product of the row.
     ///
     /// # Panics
     ///
     /// Panics if a plane's pattern was not computed in the current
     /// sub-tile or `dst.len()` differs from the slab's row length.
-    pub fn recombine(&self, dst: &mut [i64], planes: &[u16]) {
+    pub fn recombine<A: Lane>(&self, dst: &mut [A], planes: &[u16]) {
         assert_eq!(dst.len(), self.m, "output row length must match the slab's");
         assert!(planes.iter().all(|&p| self.computed(p)), "pattern must be computed");
         ta_bitslice::kernels::recombine_planes(dst, &self.slab, planes);
-    }
-
-    /// Emits `pattern`'s finalized slot to the sink.
-    #[inline]
-    pub(crate) fn emit(&self, pattern: u16, sink: &mut (impl ResultSink + ?Sized)) {
-        let off = pattern as usize * self.m;
-        sink.emit(pattern, &self.slab[off..off + self.m]);
     }
 }
 
@@ -349,11 +357,11 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if `inputs.rows() != width`.
-    pub fn evaluate_into(
+    pub fn evaluate_into<T: Lane>(
         &self,
-        inputs: TileView<'_>,
-        scratch: &mut ExecScratch,
-        sink: &mut (impl ResultSink + ?Sized),
+        inputs: TileView<'_, T>,
+        scratch: &mut ExecScratch<T>,
+        sink: &mut (impl ResultSink<T> + ?Sized),
     ) {
         assert_eq!(inputs.rows(), self.width as usize, "need one input row per TransRow bit");
         scratch.begin(self.width, inputs.cols());

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bitfield;
 mod exec;
 mod graph;
 mod node;
@@ -51,7 +50,6 @@ mod scoreboard;
 mod si;
 mod stats;
 
-pub use bitfield::{PackedEntry, PACKED_PREFIX_FIELDS};
 pub use exec::{ExecScratch, ExecutionPlan, NullSink, OpKind, OutlierOp, PlanOp, ResultSink};
 pub use graph::HasseGraph;
 pub use node::{NodeEntry, DIST_INF, HW_MAX_DISTANCE, MAX_DISTANCE, NO_LANE};
@@ -72,13 +70,19 @@ mod proptests {
     }
 
     /// Deterministic nested input rows (`width × m`) plus their flat
-    /// staging — the two representations the equivalence tests compare.
-    fn staged_inputs(width: u32, m: usize, seed: i64) -> (Vec<Vec<i64>>, Vec<i64>) {
+    /// staging at the engine's `i32` lane — the two representations the
+    /// equivalence tests compare.
+    fn staged_inputs(width: u32, m: usize, seed: i64) -> (Vec<Vec<i64>>, Vec<i32>) {
         let nested: Vec<Vec<i64>> = (0..width)
             .map(|j| (0..m).map(|c| (j as i64 * 37 + c as i64 * 13 + seed) % 41 - 20).collect())
             .collect();
-        let flat = nested.iter().flat_map(|r| r.iter().copied()).collect();
+        let flat = nested.iter().flatten().map(|&v| v as i32).collect();
         (nested, flat)
+    }
+
+    /// An `i32` slab slot widened for comparison with the `i64` oracles.
+    fn widen(slot: &[i32]) -> Vec<i64> {
+        slot.iter().map(|&v| i64::from(v)).collect()
     }
 
     proptest! {
@@ -111,12 +115,12 @@ mod proptests {
                 .evaluate_into(view, &mut scratch, &mut NullSink);
 
             let mut got: Vec<(u16, Vec<i64>)> = Vec::new();
-            plan.evaluate_into(view, &mut scratch, &mut |p: u16, r: &[i64]| {
-                got.push((p, r.to_vec()));
+            plan.evaluate_into(view, &mut scratch, &mut |p: u16, r: &[i32]| {
+                got.push((p, widen(r)));
             });
             prop_assert_eq!(&got, &want);
             for (p, v) in &want {
-                prop_assert_eq!(scratch.result(*p), Some(v.as_slice()));
+                prop_assert_eq!(scratch.result(*p).map(widen).as_ref(), Some(v));
             }
         }
 
@@ -140,10 +144,10 @@ mod proptests {
             si.evaluate_tile_functional_into(&dirty_tile, view, &mut scratch, &mut NullSink);
             let mut got: Vec<(u16, Vec<i64>)> = Vec::new();
             si.evaluate_tile_functional_into(&tile, view, &mut scratch,
-                &mut |p: u16, r: &[i64]| got.push((p, r.to_vec())));
+                &mut |p: u16, r: &[i32]| got.push((p, widen(r))));
             prop_assert_eq!(&got, &want);
             for (p, v) in &want {
-                prop_assert_eq!(scratch.result(*p), Some(v.as_slice()));
+                prop_assert_eq!(scratch.result(*p).map(widen).as_ref(), Some(v));
             }
         }
 

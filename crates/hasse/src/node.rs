@@ -5,8 +5,7 @@
 //! `Count`, `Distance`, one `Prefix Bitmap`, a `Suffix Bitmap`, and the
 //! `Lane ID`. The figure stores prefix bitmaps for distances 1–4, but
 //! after the backward pass (Alg. 2 line 11) only the one at the node's
-//! own distance is non-zero, so that is the one kept; the packed form
-//! ([`crate::PackedEntry`]) places it back in its distance's field.
+//! own distance is non-zero, so that is the one kept.
 //!
 //! Bitmap semantics (the Prefix/Suffix *Translators* of Fig. 6): prefix
 //! bitmap bit `j` names the immediate parent obtained by a 1→0 flip of the

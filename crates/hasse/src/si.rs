@@ -11,6 +11,7 @@
 use crate::exec::{ExecScratch, ResultSink};
 use crate::scoreboard::{Scoreboard, ScoreboardConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
+use ta_bitslice::kernels::Lane;
 use ta_bitslice::TileView;
 
 /// Process-wide counter backing [`StaticSi::instance_token`].
@@ -252,12 +253,12 @@ impl StaticSi {
     /// # Panics
     ///
     /// Panics if `inputs.rows() != width`.
-    pub fn evaluate_tile_functional_into(
+    pub fn evaluate_tile_functional_into<T: Lane>(
         &self,
         patterns: &[u16],
-        inputs: TileView<'_>,
-        scratch: &mut ExecScratch,
-        sink: &mut (impl ResultSink + ?Sized),
+        inputs: TileView<'_, T>,
+        scratch: &mut ExecScratch<T>,
+        sink: &mut (impl ResultSink<T> + ?Sized),
     ) {
         assert_eq!(inputs.rows(), self.cfg.width as usize, "need one input row per bit");
         scratch.begin(self.cfg.width, inputs.cols());
@@ -280,12 +281,12 @@ impl StaticSi {
     /// the iterative, slab-resident form of the oracle's recursion.
     /// Chain depth is bounded by the TransRow width (every prefix drops
     /// at least one bit), so the walk uses a fixed-size stack.
-    fn materialize_into(
+    fn materialize_into<T: Lane>(
         &self,
         p: u16,
-        inputs: TileView<'_>,
-        scratch: &mut ExecScratch,
-        sink: &mut (impl ResultSink + ?Sized),
+        inputs: TileView<'_, T>,
+        scratch: &mut ExecScratch<T>,
+        sink: &mut (impl ResultSink<T> + ?Sized),
     ) {
         // Chain of not-yet-computed nodes, `p` first, deepest last.
         let mut chain = [0u16; 16];

@@ -341,14 +341,67 @@ fn eight_bit_weights_wide_activations() {
     assert!(report.density < 0.40, "density {}", report.density);
 }
 
-/// Exactness matrix of the execute path: every weight width × activation
-/// width × TransRow width, both Scoreboard modes, `Session::run` at
-/// threads 1/2 and `run_serial`, on a ragged last n-tile and ragged K.
-/// Operands are random in range, all-minimum, all-maximum, and a mix
-/// whose first rows/columns hit the extremes. A result that fits `i32`
-/// must equal `gemm_i32`; one that does not must come back as
+/// Runs `w × x` through `Session::run` at threads 1/2 and `run_serial`,
+/// in both Scoreboard modes, with `weight_bits · 4` TransRows per
+/// sub-tile, and checks it against the exact `i64` product. A result that
+/// fits `i32` must equal `gemm_i32`; one that does not must come back as
 /// `AccumulatorOverflow` naming the first (row-major) element past `i32`
-/// with its exact value.
+/// with its exact value. Returns that expected outcome.
+fn assert_execute_exact(
+    weight_bits: u32,
+    act_bits: u32,
+    width: u32,
+    name: &str,
+    w: &MatI32,
+    x: &MatI32,
+) -> Result<MatI32, transitive_array::core::TaError> {
+    use transitive_array::core::TaError;
+
+    let (n, k, m) = (w.rows(), w.cols(), x.cols());
+    let exact: Vec<i64> = (0..n * m)
+        .map(|i| {
+            let (r, c) = (i / m, i % m);
+            (0..k).map(|j| i64::from(w.get(r, j)) * i64::from(x.get(j, c))).sum()
+        })
+        .collect();
+    let want = match exact.iter().position(|&v| i32::try_from(v).is_err()) {
+        Some(i) => Err(TaError::AccumulatorOverflow { row: i / m, col: i % m, value: exact[i] }),
+        None => Ok(gemm_i32(w, x)),
+    };
+    for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
+        let ctx = format!("w{weight_bits} a{act_bits} T{width} K{k} {name} {mode:?}");
+        let cfg = TransArrayConfig {
+            width,
+            max_transrows: weight_bits as usize * 4,
+            weight_bits,
+            act_bits,
+            units: 2,
+            m_tile: 2,
+            sample_limit: 0,
+            scoreboard_mode: mode,
+            ..TransArrayConfig::paper_w8()
+        };
+        let run = |s: &Session, serial: bool| {
+            let request = GemmRequest::execute(w.clone(), x.clone());
+            let resp = if serial { s.run_serial(request) } else { s.run(request) };
+            resp.map(|r| r.output.expect("execute returns an output"))
+        };
+        let one = session(cfg.clone());
+        assert_eq!(run(&one, true), want, "{ctx} run_serial");
+        assert_eq!(run(&one, false), want, "{ctx} run threads=1");
+        let two = session(TransArrayConfig { threads: 2, ..cfg });
+        assert_eq!(run(&two, false), want, "{ctx} run threads=2");
+    }
+    want
+}
+
+/// Exactness matrix of the execute path: every weight width × activation
+/// width × TransRow width, on a ragged last n-tile and ragged K, through
+/// [`assert_execute_exact`]. Operands are random in range, all-minimum,
+/// all-maximum, and a mix whose first rows/columns hit the extremes.
+/// The engine accumulates in `i32` when `K·2^(S−1)·2^(a−1)` fits `i32`
+/// and in `i64` past it; the w16/a16 cases (K ≥ 4) all take the `i64`
+/// path, and the w16/a8 cases below sit on either side of the bound.
 #[test]
 fn execute_exactness_matrix() {
     use transitive_array::core::TaError;
@@ -388,46 +441,26 @@ fn execute_exactness_matrix() {
                     ),
                 ];
                 for (name, w, x) in &cases {
-                    let exact: Vec<i64> = (0..n * x.cols())
-                        .map(|i| {
-                            let (r, c) = (i / x.cols(), i % x.cols());
-                            (0..k).map(|j| i64::from(w.get(r, j)) * i64::from(x.get(j, c))).sum()
-                        })
-                        .collect();
-                    let want = match exact.iter().position(|&v| i32::try_from(v).is_err()) {
-                        Some(i) => Err(TaError::AccumulatorOverflow {
-                            row: i / x.cols(),
-                            col: i % x.cols(),
-                            value: exact[i],
-                        }),
-                        None => Ok(gemm_i32(w, x)),
-                    };
-                    for mode in [ScoreboardMode::Dynamic, ScoreboardMode::Static] {
-                        let ctx = format!("w{weight_bits} a{act_bits} T{width} {name} {mode:?}");
-                        let cfg = TransArrayConfig {
-                            width,
-                            max_transrows: weight_bits as usize * 4,
-                            weight_bits,
-                            act_bits,
-                            units: 2,
-                            m_tile: 2,
-                            sample_limit: 0,
-                            scoreboard_mode: mode,
-                            ..TransArrayConfig::paper_w8()
-                        };
-                        let run = |s: &Session, serial: bool| {
-                            let request = GemmRequest::execute(w.clone(), x.clone());
-                            let resp = if serial { s.run_serial(request) } else { s.run(request) };
-                            resp.map(|r| r.output.expect("execute returns an output"))
-                        };
-                        let one = session(cfg.clone());
-                        assert_eq!(run(&one, true), want, "{ctx} run_serial");
-                        assert_eq!(run(&one, false), want, "{ctx} run threads=1");
-                        let two = session(TransArrayConfig { threads: 2, ..cfg });
-                        assert_eq!(run(&two, false), want, "{ctx} run threads=2");
-                    }
+                    let _ = assert_execute_exact(weight_bits, act_bits, width, name, w, x);
                 }
             }
         }
     }
+
+    // w16/a8 at n = 1: all-min operands sum to K·2^15·2^7. At K = 511
+    // that is 2,143,289,344, just under i32::MAX (the i32 path); at
+    // K = 512 it is 2^31 (the i64 path, which must report it exactly).
+    let (w_min, x_min) = (-(1i32 << 15), -(1i32 << 7));
+    let all_min =
+        |k: usize| (MatI32::from_fn(1, k, |_, _| w_min), MatI32::from_fn(k, 1, |_, _| x_min));
+    let (w, x) = all_min(511);
+    let got = assert_execute_exact(16, 8, 8, "all-min", &w, &x);
+    assert_eq!(got.map(|out| out.get(0, 0)), Ok(2_143_289_344));
+    let (w, x) = all_min(512);
+    let got = assert_execute_exact(16, 8, 8, "all-min", &w, &x);
+    assert_eq!(got, Err(TaError::AccumulatorOverflow { row: 0, col: 0, value: 1 << 31 }));
+    // A random K = 512 product takes the i64 path and fits.
+    let w = MatI32::from_fn(3, 512, |_, _| (rng.next_u64() % 65_536) as i32 - 32_768);
+    let x = MatI32::from_fn(512, 5, |_, _| (rng.next_u64() % 256) as i32 - 128);
+    assert!(assert_execute_exact(16, 8, 8, "random", &w, &x).is_ok());
 }
