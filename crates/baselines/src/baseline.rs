@@ -8,15 +8,12 @@
 //! accounting.
 
 use ta_core::{dram_traffic, GemmShape, TrafficReport};
-use ta_sim::{baseline_area, table2, EnergyBreakdown, EnergyModel};
+use ta_sim::{baseline_area, dram_cycles, table2, EnergyBreakdown, EnergyModel};
 
 /// Dynamic energy per µm² of toggling PE logic per operation (pJ/µm²) —
 /// calibrated so a BitFusion 8-bit MAC lands near the published ~0.27 pJ
 /// at 28 nm.
 const AREA_TO_PJ: f64 = 0.0005;
-
-/// Shared DRAM bandwidth (bytes per cycle), identical to the TransArray's.
-const DRAM_BYTES_PER_CYCLE: f64 = 256.0;
 
 /// Result of one baseline GEMM simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +219,7 @@ impl Baseline {
         let macs = shape.macs() as f64;
         let compute_cycles = (macs / self.macs_per_cycle(wbits, abits)).ceil() as u64;
         let traffic = dram_traffic(shape, wbits, abits, (self.buffer_kb * 1024.0) as u64);
-        let dram_cycles = (traffic.total() as f64 / DRAM_BYTES_PER_CYCLE).ceil() as u64;
+        let dram_cycles = dram_cycles(traffic.total());
         let cycles = compute_cycles.max(dram_cycles).max(1);
 
         let mut b = EnergyBreakdown::default();

@@ -17,7 +17,7 @@ use std::fmt;
 /// let mut m = BinaryMatrix::zeros(2, 10);
 /// m.set(1, 9, true);
 /// assert!(m.get(1, 9));
-/// assert_eq!(m.row_popcount(1), 1);
+/// assert_eq!(m.popcount(), 1);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BinaryMatrix {
@@ -156,15 +156,6 @@ impl BinaryMatrix {
         }
     }
 
-    /// Number of set bits in row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row_popcount(&self, r: usize) -> u32 {
-        kernels::popcount_words(self.words(r)) as u32
-    }
-
     /// Total number of set bits.
     pub fn popcount(&self) -> u64 {
         // One pass over the whole packed store: tail bits are zero by
@@ -184,20 +175,6 @@ impl BinaryMatrix {
         }
     }
 
-    /// Extracts `width ≤ 16` bits of row `r` starting at column `c0` as an
-    /// unsigned pattern — **the TransRow extraction primitive**. Bit `j` of
-    /// the result corresponds to column `c0 + j`; columns past the matrix
-    /// edge read as 0 (zero-padding, matching the tiling engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `width > 16` or `width == 0`.
-    pub fn extract_pattern(&self, r: usize, c0: usize, width: u32) -> u16 {
-        // Word-level via the kernel facade: at most two packed words
-        // cover any ≤16-bit window, and tail bits are zero by invariant.
-        kernels::extract_bits(self.words(r), c0, width)
-    }
-
     /// Writes `width` bits of `pattern` into row `r` starting at `c0`
     /// (bits past the edge are dropped).
     ///
@@ -207,21 +184,6 @@ impl BinaryMatrix {
     pub fn insert_pattern(&mut self, r: usize, c0: usize, width: u32, pattern: u16) {
         let cols = self.cols;
         kernels::insert_bits(self.words_mut(r), cols, c0, width, pattern);
-    }
-
-    /// Copies rows `[r0, r0+n)` into a new matrix, zero-padding past the
-    /// end.
-    pub fn rows_padded(&self, r0: usize, n: usize) -> Self {
-        let mut out = Self::zeros(n, self.cols);
-        for r in 0..n {
-            let sr = r0 + r;
-            if sr >= self.rows {
-                break;
-            }
-            let src = &self.words[sr * self.words_per_row..(sr + 1) * self.words_per_row];
-            out.words[r * self.words_per_row..(r + 1) * self.words_per_row].copy_from_slice(src);
-        }
-        out
     }
 }
 
@@ -254,11 +216,10 @@ mod tests {
             assert!(m.get(1, c), "col {c}");
             assert!(!m.get(0, c), "row isolation at col {c}");
         }
-        assert_eq!(m.row_popcount(1), 7);
-        assert_eq!(m.row_popcount(0), 0);
+        assert_eq!(m.popcount(), 7);
         m.set(1, 64, false);
         assert!(!m.get(1, 64));
-        assert_eq!(m.row_popcount(1), 6);
+        assert_eq!(m.popcount(), 6);
     }
 
     #[test]
@@ -310,56 +271,12 @@ mod tests {
     #[test]
     fn set_row_from_fn_leaves_tail_bits_zero() {
         // cols = 70: the second word has 58 unused bits that must stay
-        // zero even when the predicate is all-true (the extract_pattern
-        // fast path relies on that invariant).
+        // zero even when the predicate is all-true (the read kernels rely
+        // on that invariant).
         let mut m = BinaryMatrix::zeros(2, 70);
         m.set_row_from_fn(1, |_| true);
-        assert_eq!(m.row_popcount(1), 70);
-        assert_eq!(m.row_popcount(0), 0);
-        assert_eq!(m.extract_pattern(1, 66, 16), 0b1111, "columns 70.. read as zero");
-    }
-
-    #[test]
-    fn extract_pattern_matches_scalar_get_loop() {
-        let m = BinaryMatrix::from_fn(3, 150, |r, c| (r * 31 + c * 7) % 3 == 0);
-        for r in 0..3 {
-            for c0 in [0usize, 1, 40, 55, 60, 63, 64, 65, 120, 140, 148, 149, 160] {
-                for width in [1u32, 4, 8, 15, 16] {
-                    let mut expect = 0u16;
-                    for j in 0..width as usize {
-                        if c0 + j < m.cols() && m.get(r, c0 + j) {
-                            expect |= 1 << j;
-                        }
-                    }
-                    assert_eq!(
-                        m.extract_pattern(r, c0, width),
-                        expect,
-                        "r={r} c0={c0} width={width}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn extract_pattern_basic() {
-        let mut m = BinaryMatrix::zeros(1, 8);
-        // Row bits: 1011 at columns 0..4 (bit j ↔ column j).
-        m.set(0, 0, true);
-        m.set(0, 1, true);
-        m.set(0, 3, true);
-        assert_eq!(m.extract_pattern(0, 0, 4), 0b1011);
-        assert_eq!(m.extract_pattern(0, 1, 4), 0b0101);
-        // Past the edge pads with zeros.
-        assert_eq!(m.extract_pattern(0, 6, 4), 0);
-    }
-
-    #[test]
-    fn extract_pattern_straddles_words() {
-        let mut m = BinaryMatrix::zeros(1, 80);
-        m.set(0, 62, true);
-        m.set(0, 65, true);
-        assert_eq!(m.extract_pattern(0, 62, 4), 0b1001);
+        assert_eq!(m.words(1), [u64::MAX, (1 << 6) - 1]);
+        assert_eq!(m.popcount(), 70);
     }
 
     #[test]
@@ -367,21 +284,10 @@ mod tests {
         let mut m = BinaryMatrix::zeros(3, 40);
         for (i, p) in [0b1010u16, 0b1111, 0b0001].iter().enumerate() {
             m.insert_pattern(i, 8, 4, *p);
-            assert_eq!(m.extract_pattern(i, 8, 4), *p);
+            assert_eq!(kernels::extract_bits(m.words(i), 8, 4), *p);
         }
         // Other columns untouched.
-        assert_eq!(m.extract_pattern(0, 0, 8), 0);
-    }
-
-    #[test]
-    fn rows_padded_copies_and_pads() {
-        let m = BinaryMatrix::from_fn(3, 5, |r, c| c == r);
-        let t = m.rows_padded(1, 4);
-        assert_eq!(t.rows(), 4);
-        assert!(t.get(0, 1)); // original row 1
-        assert!(t.get(1, 2)); // original row 2
-        assert_eq!(t.row_popcount(2), 0); // padding
-        assert_eq!(t.row_popcount(3), 0);
+        assert_eq!(kernels::extract_bits(m.words(0), 0, 8), 0);
     }
 
     #[test]
@@ -400,7 +306,7 @@ mod tests {
     #[should_panic(expected = "pattern width")]
     fn extract_width_zero_panics() {
         let m = BinaryMatrix::zeros(1, 8);
-        let _ = m.extract_pattern(0, 0, 0);
+        let _ = kernels::extract_bits(m.words(0), 0, 0);
     }
 
     #[test]

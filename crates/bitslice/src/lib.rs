@@ -13,9 +13,8 @@
 //! * [`kernels`] — the word-parallel kernel facade every bit-sliced hot
 //!   loop routes through (extraction, slicing, slab row-adds, im2col);
 //! * Hamming-order / prefix / suffix utilities the Scoreboard traversals
-//!   use ([`hamming_order`], [`prefixes`], [`suffixes`]);
-//! * a bitonic sorting network with a hardware cost report
-//!   ([`bitonic_sort_by_key`]);
+//!   use ([`hamming_order`], [`prefixes`], [`suffixes`]), and the
+//!   PopCount sorter's network depth ([`bitonic_depth`]);
 //! * im2col convolution lowering for the ResNet-18 experiment
 //!   ([`im2col`], [`conv_im2col`]).
 //!
@@ -41,15 +40,13 @@ pub mod kernels;
 mod popcount;
 mod rowmajor;
 mod slicer;
-mod sorter;
 mod transrow;
 
 pub use binmat::BinaryMatrix;
 pub use im2col::{conv_direct, conv_im2col, flatten_weights, im2col, ConvShape};
-pub use popcount::{binomial, hamming_order, level, prefixes, suffixes};
+pub use popcount::{binomial, bitonic_depth, hamming_order, level, prefixes, suffixes};
 pub use rowmajor::{RowMajor, RowsMut, TileView};
 pub use slicer::BitSlicedMatrix;
-pub use sorter::{bitonic_depth, bitonic_sort_by_key, SortReport};
 pub use transrow::{extract_subtile_transrows, extract_transrows, TransRow};
 
 #[cfg(test)]
@@ -106,23 +103,6 @@ mod proptests {
                 }
             }
             prop_assert_eq!(acc, v as i64);
-        }
-
-        /// Bitonic sort always sorts, for arbitrary lengths and data.
-        #[test]
-        fn bitonic_always_sorts(mut v in proptest::collection::vec(0u32..1000, 0..70)) {
-            bitonic_sort_by_key(&mut v, |&x| x);
-            prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));
-        }
-
-        /// Bitonic sort is a permutation (multiset preserved).
-        #[test]
-        fn bitonic_preserves_multiset(v in proptest::collection::vec(0u32..50, 0..40)) {
-            let mut sorted = v.clone();
-            bitonic_sort_by_key(&mut sorted, |&x| x);
-            let mut expected = v;
-            expected.sort_unstable();
-            prop_assert_eq!(sorted, expected);
         }
 
         /// Extracted TransRow patterns reproduce the binary matrix content.

@@ -1,5 +1,5 @@
-//! PopCount / Hamming-order utilities shared by the sorter and the
-//! Scoreboard.
+//! PopCount / Hamming-order utilities the Scoreboard and its timing
+//! model share.
 //!
 //! The Scoreboard traverses Hasse nodes level by level — i.e. in
 //! *Hamming order*: all patterns with one set bit, then two, … (Alg. 1
@@ -83,9 +83,39 @@ pub fn binomial(n: u64, k: u64) -> u64 {
     acc
 }
 
+/// Depth of a bitonic sorting network (Batcher 1968) over `n` inputs:
+/// `k(k+1)/2` compare-exchange layers for `n` padded to `2^k` — the
+/// PopCount sorter's pipeline-fill latency, charged once per sub-tile
+/// (§4.6 cites the bitonic sorter's `O(log² n)` time).
+///
+/// # Examples
+///
+/// ```
+/// use ta_bitslice::bitonic_depth;
+///
+/// assert_eq!(bitonic_depth(256), 36);
+/// ```
+pub fn bitonic_depth(n: usize) -> u32 {
+    if n <= 1 {
+        return 0;
+    }
+    let k = n.next_power_of_two().trailing_zeros();
+    k * (k + 1) / 2
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitonic_depth_formula() {
+        assert_eq!(bitonic_depth(0), 0);
+        assert_eq!(bitonic_depth(1), 0);
+        assert_eq!(bitonic_depth(2), 1);
+        assert_eq!(bitonic_depth(4), 3);
+        assert_eq!(bitonic_depth(256), 36);
+        assert_eq!(bitonic_depth(200), 36); // padded to 256
+    }
 
     #[test]
     fn hamming_order_4bit_matches_alg1() {

@@ -99,11 +99,6 @@ impl BitSlicedMatrix {
         self.bits
     }
 
-    /// Source matrix row count `N`.
-    pub fn source_rows(&self) -> usize {
-        self.n
-    }
-
     /// Source matrix column count `K` (the reduction dimension).
     pub fn cols(&self) -> usize {
         self.k

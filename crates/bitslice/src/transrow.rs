@@ -20,8 +20,7 @@ use crate::slicer::BitSlicedMatrix;
 ///
 /// let tr = TransRow::new(0b1011, 0);
 /// assert_eq!(tr.popcount(), 3);
-/// assert!(TransRow::new(0b0011, 2).is_subset_of(&tr));
-/// assert_eq!(tr.xor_diff(&TransRow::new(0b0011, 2)), 0b1000);
+/// assert_eq!(tr.row_index(), 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransRow {
@@ -51,26 +50,6 @@ impl TransRow {
     #[inline]
     pub fn popcount(&self) -> u32 {
         self.pattern.count_ones()
-    }
-
-    /// Whether every set bit of `self` is also set in `other` — i.e.
-    /// `other` can transitively reuse `self`'s result.
-    #[inline]
-    pub fn is_subset_of(&self, other: &TransRow) -> bool {
-        self.pattern & other.pattern == self.pattern
-    }
-
-    /// The difference bits between two patterns (the "TranSparsity" the
-    /// dispatcher computes with a single XOR gate, §4.3).
-    #[inline]
-    pub fn xor_diff(&self, other: &TransRow) -> u16 {
-        self.pattern ^ other.pattern
-    }
-
-    /// Whether the pattern is all-zero (a ZR row — skipped entirely).
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.pattern == 0
     }
 }
 
@@ -132,24 +111,6 @@ pub fn extract_subtile_transrows(
 mod tests {
     use super::*;
     use ta_quant::MatI32;
-
-    #[test]
-    fn subset_and_xor_match_paper_example() {
-        // Fig. 3: TransRow 11 (1011) reuses TransRow 3 (0011); difference
-        // bits 1000.
-        let t11 = TransRow::new(0b1011, 0);
-        let t3 = TransRow::new(0b0011, 2);
-        assert!(t3.is_subset_of(&t11));
-        assert!(!t11.is_subset_of(&t3));
-        assert_eq!(t11.xor_diff(&t3), 0b1000);
-        assert_eq!(t11.popcount(), 3);
-    }
-
-    #[test]
-    fn zero_detection() {
-        assert!(TransRow::new(0, 5).is_zero());
-        assert!(!TransRow::new(1, 5).is_zero());
-    }
 
     #[test]
     fn extract_with_row_padding() {

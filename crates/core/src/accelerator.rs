@@ -14,7 +14,7 @@ use ta_bitslice::kernels::Lane;
 use ta_bitslice::{BitSlicedMatrix, RowMajor, RowsMut};
 use ta_hasse::{ExecScratch, PlanCacheStats, SharedPlanCache, StaticSi};
 use ta_quant::MatI32;
-use ta_sim::{transarray_area, EnergyBreakdown, EnergyModel, VpuModel};
+use ta_sim::{dram_cycles, transarray_area, EnergyBreakdown, EnergyModel, VpuModel};
 
 /// NoC (Benes + wires) dynamic energy per byte moved (pJ/B) — a 5-stage
 /// switch fabric plus the operand wiring at 28 nm.
@@ -28,10 +28,6 @@ const NOC_PJ_PER_BYTE: f64 = 0.12;
 /// parallel reports bit-identical to serial ones (see the `runtime`
 /// module's determinism contract).
 const SCOREBOARD_PJ_PER_ROW: f64 = 3.0;
-
-/// Sustained DRAM bandwidth in bytes per accelerator cycle (≈128 GB/s at
-/// 500 MHz).
-const DRAM_BYTES_PER_CYCLE: f64 = 256.0;
 
 /// Result of simulating (or executing) one GEMM on the Transitive Array.
 #[derive(Debug, Clone, PartialEq)]
@@ -491,7 +487,7 @@ impl TransitiveArray {
             self.cfg.act_bits,
             (self.cfg.total_buffer_kb() * 1024.0) as u64,
         );
-        let dram_cycles = (traffic.total() as f64 / DRAM_BYTES_PER_CYCLE).ceil() as u64;
+        let dram_cycles = dram_cycles(traffic.total());
         let cycles = compute_cycles.max(dram_cycles).max(1);
 
         let ops = agg.total_ops as f64 * scale * m_reps;

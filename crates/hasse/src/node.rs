@@ -72,12 +72,6 @@ impl NodeEntry {
         }
     }
 
-    /// Whether at least one TransRow carries this pattern.
-    #[inline]
-    pub fn is_present(&self) -> bool {
-        self.count > 0 && !self.transit
-    }
-
     /// Whether the node participates in execution at all (present row or
     /// activated transit stop).
     #[inline]
@@ -105,7 +99,6 @@ mod tests {
     #[test]
     fn empty_entry_is_inactive() {
         let e = NodeEntry::empty();
-        assert!(!e.is_present());
         assert!(!e.is_active());
         assert!(!e.has_chosen_parent());
         assert_eq!(e.distance, DIST_INF);
@@ -113,13 +106,11 @@ mod tests {
     }
 
     #[test]
-    fn present_vs_transit() {
+    fn transit_nodes_are_active() {
         let mut e = NodeEntry::empty();
         e.count = 2;
-        assert!(e.is_present());
         assert!(e.is_active());
         e.transit = true;
-        assert!(!e.is_present(), "transit nodes are not 'present' rows");
         assert!(e.is_active());
     }
 

@@ -130,16 +130,6 @@ impl StaticSi {
         self.entries
     }
 
-    /// The table's chosen prefix for `pattern`: `Some(prefix)` for chained
-    /// entries, `Some(pattern)` is never returned; `None` when the pattern
-    /// is an outlier or absent from the table.
-    pub fn prefix_of(&self, pattern: u16) -> Option<u16> {
-        match self.prefix[pattern as usize] {
-            ABSENT | SELF => None,
-            p => Some(p),
-        }
-    }
-
     /// Whether the pattern appears in the table at all.
     pub fn contains(&self, pattern: u16) -> bool {
         self.prefix[pattern as usize] != ABSENT

@@ -143,11 +143,6 @@ impl LlamaConfig {
             (NamedGemm::new("pv", GemmShape::new(d, seq, seq)), self.heads),
         ]
     }
-
-    /// Total FC MACs of one block at `seq`.
-    pub fn fc_macs(&self, seq: usize) -> u64 {
-        self.fc_layers(seq).iter().map(|l| l.shape.macs()).sum()
-    }
 }
 
 /// A named GEMM workload.
@@ -226,8 +221,9 @@ mod tests {
     #[test]
     fn macs_grow_with_model_size() {
         let roster = LlamaConfig::roster();
-        let m7 = roster[0].fc_macs(2048);
-        let m65 = roster[3].fc_macs(2048);
+        let fc_macs =
+            |cfg: &LlamaConfig| -> u64 { cfg.fc_layers(2048).iter().map(|l| l.shape.macs()).sum() };
+        let (m7, m65) = (fc_macs(&roster[0]), fc_macs(&roster[3]));
         // Per-block FC MACs scale ≈4× from 7B to 65B (hidden² quadruples,
         // MLP ratio shrinks slightly).
         assert!(m65 > 7 * m7 / 2, "{m65} vs {m7}");

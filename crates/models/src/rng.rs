@@ -60,16 +60,6 @@ impl StreamRng {
         }
         s - 6.0
     }
-
-    /// Uniform integer in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be non-zero");
-        self.next_u64() % bound
-    }
 }
 
 #[cfg(test)]
@@ -110,13 +100,5 @@ mod tests {
         let var: f32 = samples.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn bounded_integers() {
-        let mut r = StreamRng::new(5);
-        for _ in 0..100 {
-            assert!(r.next_below(17) < 17);
-        }
     }
 }

@@ -298,11 +298,6 @@ impl MatF32 {
     pub fn abs_max(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
-    }
 }
 
 /// Reference dense GEMM over `f32`: `C (n×m) = A (n×k) · B (k×m)`.
@@ -488,10 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn abs_max_and_norm() {
+    fn abs_max() {
         let m = MatF32::from_rows(&[&[3.0, -4.0]]);
         assert_eq!(m.abs_max(), 4.0);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -33,18 +33,6 @@ impl OliveQuant {
         Self { bits: 8, outlier_threshold_sigma: 4.0 }
     }
 
-    /// Creates the method at an explicit precision and threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `2..=16` or the threshold is not
-    /// positive.
-    pub fn with_params(bits: u32, outlier_threshold_sigma: f32) -> Self {
-        assert!((2..=16).contains(&bits), "bits must be in 2..=16");
-        assert!(outlier_threshold_sigma > 0.0, "threshold must be positive");
-        Self { bits, outlier_threshold_sigma }
-    }
-
     fn qmax(&self) -> f32 {
         ((1i32 << (self.bits - 1)) - 1) as f32
     }

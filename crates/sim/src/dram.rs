@@ -1,15 +1,30 @@
-//! Off-chip DRAM model: bandwidth-bound transfer timing plus dynamic and
-//! static energy — shared by the TransArray and every baseline so memory
-//! effects never bias the comparison (§5.1's methodology).
+//! Off-chip DRAM model: one sustained bandwidth and one transfer-time
+//! formula, shared by the TransArray and every baseline so memory effects
+//! never bias the comparison (§5.1's methodology).
 
-use crate::energy::EnergyModel;
+/// Sustained DRAM bandwidth in bytes per accelerator cycle (≈128 GB/s at
+/// 500 MHz).
+pub const DRAM_BYTES_PER_CYCLE: f64 = 256.0;
 
-/// A bandwidth/energy DRAM model.
+/// Memory-channel cycles to move `bytes` at [`DRAM_BYTES_PER_CYCLE`]
+/// (not rounded to bursts).
+///
+/// # Examples
+///
+/// ```
+/// use ta_sim::dram_cycles;
+///
+/// assert_eq!(dram_cycles(0), 0);
+/// assert_eq!(dram_cycles(257), 2);
+/// ```
+pub fn dram_cycles(bytes: u64) -> u64 {
+    (bytes as f64 / DRAM_BYTES_PER_CYCLE).ceil() as u64
+}
+
+/// A burst-granularity DRAM request counter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramModel {
-    bytes_per_cycle: f64,
     burst_bytes: u64,
-    traffic_bytes: u64,
     /// Logical transfer requests: one per [`DramModel::transfer`] call.
     requests: u64,
     /// Burst-granularity beats those requests decomposed into.
@@ -17,53 +32,31 @@ pub struct DramModel {
 }
 
 impl DramModel {
-    /// Creates a model with the given sustained bandwidth (bytes per
-    /// accelerator cycle) and burst granularity.
+    /// Creates a model with the given burst granularity.
     ///
     /// # Panics
     ///
-    /// Panics if the bandwidth or burst size is zero.
-    pub fn new(bytes_per_cycle: f64, burst_bytes: u64) -> Self {
-        assert!(bytes_per_cycle > 0.0, "bandwidth must be positive");
+    /// Panics if the burst size is zero.
+    pub fn new(burst_bytes: u64) -> Self {
         assert!(burst_bytes > 0, "burst size must be non-zero");
-        Self { bytes_per_cycle, burst_bytes, traffic_bytes: 0, requests: 0, bursts: 0 }
+        Self { burst_bytes, requests: 0, bursts: 0 }
     }
 
-    /// The paper-scale default: ~128 GB/s at 500 MHz → 256 B/cycle,
-    /// 64-byte bursts.
+    /// The paper-scale default: 64-byte bursts.
     pub fn paper_default() -> Self {
-        Self::new(256.0, 64)
-    }
-
-    /// Sustained bandwidth (bytes/cycle).
-    pub fn bytes_per_cycle(&self) -> f64 {
-        self.bytes_per_cycle
+        Self::new(64)
     }
 
     /// Records a transfer of `bytes` (rounded up to bursts) and returns
-    /// the cycles it occupies on the memory channel.
+    /// the cycles the burst-rounded bytes occupy on the memory channel.
     ///
     /// Accounting: the call is **one request**; its burst-rounded beats
-    /// accumulate separately in [`DramModel::bursts`] (they used to be
-    /// conflated into a single unreadable counter).
+    /// accumulate separately in [`DramModel::bursts`].
     pub fn transfer(&mut self, bytes: u64) -> u64 {
         let bursts = bytes.div_ceil(self.burst_bytes);
-        let moved = bursts * self.burst_bytes;
-        self.traffic_bytes += moved;
         self.requests += 1;
         self.bursts += bursts;
-        (moved as f64 / self.bytes_per_cycle).ceil() as u64
-    }
-
-    /// Cycles a transfer of `bytes` would take, without recording it.
-    pub fn cycles_for(&self, bytes: u64) -> u64 {
-        let bursts = bytes.div_ceil(self.burst_bytes);
-        ((bursts * self.burst_bytes) as f64 / self.bytes_per_cycle).ceil() as u64
-    }
-
-    /// Total traffic recorded (bytes, burst-rounded).
-    pub fn traffic_bytes(&self) -> u64 {
-        self.traffic_bytes
+        dram_cycles(bursts * self.burst_bytes)
     }
 
     /// Transfer requests recorded (one per [`DramModel::transfer`] call).
@@ -76,29 +69,6 @@ impl DramModel {
     pub fn bursts(&self) -> u64 {
         self.bursts
     }
-
-    /// Dynamic DRAM energy of the recorded traffic (pJ).
-    pub fn dynamic_pj(&self, model: &EnergyModel) -> f64 {
-        model.dram_pj(self.traffic_bytes)
-    }
-
-    /// Static DRAM energy over `cycles` of wall-clock (pJ).
-    pub fn static_pj(&self, model: &EnergyModel, cycles: u64) -> f64 {
-        model.static_pj(model.dram_static_mw, cycles)
-    }
-
-    /// Resets the traffic counters.
-    pub fn reset(&mut self) {
-        self.traffic_bytes = 0;
-        self.requests = 0;
-        self.bursts = 0;
-    }
-}
-
-impl Default for DramModel {
-    fn default() -> Self {
-        Self::paper_default()
-    }
 }
 
 #[cfg(test)]
@@ -107,69 +77,26 @@ mod tests {
 
     #[test]
     fn transfer_rounds_to_bursts() {
-        let mut d = DramModel::new(64.0, 64);
-        let cycles = d.transfer(65);
-        assert_eq!(d.traffic_bytes(), 128);
-        assert_eq!(cycles, 2);
+        let mut d = DramModel::new(64);
+        let cycles = d.transfer(257);
+        assert_eq!(cycles, 2, "five 64 B bursts = 320 B = two 256 B cycles");
         assert_eq!(d.requests(), 1, "one transfer call = one request");
-        assert_eq!(d.bursts(), 2, "65 bytes = two 64 B bursts");
+        assert_eq!(d.bursts(), 5);
     }
 
     #[test]
     fn requests_and_bursts_tracked_separately() {
-        let mut d = DramModel::new(64.0, 64);
+        let mut d = DramModel::new(64);
         d.transfer(64); // 1 burst
         d.transfer(400); // 7 bursts
         d.transfer(1); // 1 burst
         assert_eq!(d.requests(), 3);
         assert_eq!(d.bursts(), 9);
-        assert_eq!(d.traffic_bytes(), 9 * 64);
     }
 
     #[test]
-    fn cycles_scale_with_bandwidth() {
-        let fast = DramModel::new(256.0, 64);
-        let slow = DramModel::new(64.0, 64);
-        assert_eq!(fast.cycles_for(1 << 20) * 4, slow.cycles_for(1 << 20));
-    }
-
-    #[test]
-    fn dynamic_energy_tracks_traffic() {
-        let model = EnergyModel::paper_28nm();
-        let mut d = DramModel::paper_default();
-        d.transfer(1024);
-        let e1 = d.dynamic_pj(&model);
-        d.transfer(1024);
-        assert!((d.dynamic_pj(&model) / e1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn static_energy_independent_of_traffic() {
-        let model = EnergyModel::paper_28nm();
-        let d = DramModel::paper_default();
-        let e = d.static_pj(&model, 1000);
-        assert!(e > 0.0);
-        let d2 = {
-            let mut x = DramModel::paper_default();
-            x.transfer(1 << 30);
-            x
-        };
-        assert_eq!(e, d2.static_pj(&model, 1000));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut d = DramModel::paper_default();
-        d.transfer(100);
-        d.reset();
-        assert_eq!(d.traffic_bytes(), 0);
-        assert_eq!(d.requests(), 0);
-        assert_eq!(d.bursts(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_rejected() {
-        let _ = DramModel::new(0.0, 64);
+    #[should_panic(expected = "burst size must be non-zero")]
+    fn zero_burst_rejected() {
+        let _ = DramModel::new(0);
     }
 }

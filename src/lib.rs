@@ -9,7 +9,8 @@
 //! * [`bitslice`] — 2's-complement bit-slicing, TransRows, im2col;
 //! * [`hasse`] — the Hasse-graph Scoreboard (forward/backward passes,
 //!   balanced forest, static & dynamic SI);
-//! * [`sim`] — hardware substrates (SRAM/DRAM, Benes network, energy/area);
+//! * [`sim`] — hardware constants and formulas (DRAM bandwidth, pipeline,
+//!   energy/area);
 //! * [`core`] — the Transitive Array accelerator itself;
 //! * [`baselines`] — BitFusion / ANT / Olive / Tender / BitVert models;
 //! * [`models`] — LLaMA & ResNet-18 workloads and synthetic tensors;

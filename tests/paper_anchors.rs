@@ -6,7 +6,7 @@ use transitive_array::core::PatternSource;
 use transitive_array::hasse::{Scoreboard, ScoreboardConfig, StaticSi, TileStats};
 use transitive_array::models::UniformBitSource;
 use transitive_array::quant::MatI32;
-use transitive_array::sim::{transarray_area, BenesNetwork, EnergyModel};
+use transitive_array::sim::{transarray_area, EnergyModel};
 
 #[test]
 fn fig1_motivating_example_op_counts() {
@@ -68,16 +68,6 @@ fn table2_core_areas() {
     // TransArray core 0.443 mm² (6 units), smallest in the roster.
     let a = transarray_area(6, 8, 32, 480.0);
     assert!((a.core_mm2() - 0.443).abs() < 0.015, "{}", a.core_mm2());
-}
-
-#[test]
-fn benes_depth_quoted_by_paper() {
-    // §4.4: "only 2 log(N) + 1 levels" counting terminal stages — our
-    // switch-stage count for the 8-way net is 2·3−1 = 5 (+2 terminal
-    // wiring levels = the paper's 7 for N=8).
-    let net = BenesNetwork::new(8);
-    assert_eq!(net.depth(), 5);
-    assert_eq!(net.depth() + 2, 2 * 3 + 1);
 }
 
 #[test]
