@@ -16,6 +16,15 @@
 //! accumulates in `i32` when that bound fits `i32` and in `i64` past it,
 //! where its overflow check on the output stays exact.
 //!
+//! ## Bit-plane slicing
+//!
+//! [`slice_rows`] (whole matrices) and [`slice_patterns`] (one synthetic
+//! pattern row) share one branch-free kernel: the low bytes of 8 values
+//! pack into a `u64`, an 8×8 bit transpose (three delta-swaps) turns
+//! byte `l` into bit level `l` of all 8 values, and each byte ORs into
+//! its plane; values wider than 8 bits transpose their high bytes too.
+//! Cost is proportional to values × ⌈S/8⌉, whatever the values are.
+//!
 //! ## Tail-masking contract
 //!
 //! [`BinaryMatrix`] guarantees that bits at column positions `>= cols` in
@@ -163,15 +172,42 @@ pub fn extract_subtile_patterns_into(
     out.resize(rows, 0);
 }
 
+/// Transposes an 8×8 bit matrix held row-per-byte: bit `c` of byte `r`
+/// moves to bit `r` of byte `c`. Three delta-swaps exchange the
+/// off-diagonal 1×1, then 2×2, then 4×4 blocks; no branches, no tables.
+#[inline]
+fn transpose8x8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Bit planes of up to 8 values, one byte per plane: byte `l` holds bit
+/// level `l` of the values, value `i` at bit `i`. Levels `8..16` (the
+/// high bytes' transpose) are computed only when `wide`, and read as
+/// zero otherwise.
+#[inline]
+fn byte_planes(values: &[i32], wide: bool) -> [u8; 16] {
+    debug_assert!(values.len() <= 8, "one transpose holds 8 values");
+    let pack = |shift: u32| {
+        let x = values.iter().enumerate();
+        transpose8x8(x.fold(0, |x, (i, &v)| x | u64::from((v >> shift) as u8) << (8 * i)))
+    };
+    let hi = if wide { pack(8) } else { 0 };
+    (u128::from(hi) << 64 | u128::from(pack(0))).to_le_bytes()
+}
+
 /// Slices source rows `[r0, r1)` of `m` into their `bits` binary planes
 /// (2's-complement; binary row `(r - r0)·bits + s` is bit level `s` of
-/// source row `r`) — the per-shard slicing kernel.
+/// source row `r`) — the per-shard slicing kernel behind
+/// [`crate::BitSlicedMatrix::slice`] and its parallel twin.
 ///
-/// One pass per 64-column chunk: each value's set bit levels are
-/// scattered into per-level word accumulators (`cost ∝ popcount`), then
-/// the assembled words are stored through [`BinaryMatrix::words_mut`].
-/// The tail chunk writes only the columns that exist, preserving the
-/// tail-zero invariant.
+/// One branch-free 8×8 bit transpose per 8 values and 8 levels (see the
+/// module's bit-plane slicing notes). The tail chunk's missing columns
+/// pack as zero bytes, preserving the tail-zero invariant.
 ///
 /// # Panics
 ///
@@ -181,18 +217,13 @@ pub fn slice_rows(m: &MatI32, bits: u32, r0: usize, r1: usize) -> BinaryMatrix {
     assert!(r1 <= m.rows(), "row range {r0}..{r1} out of bounds");
     let k = m.cols();
     let s = bits as usize;
-    let vmask = ((1u64 << bits) - 1) as u32;
     let mut planes = BinaryMatrix::zeros((r1 - r0) * s, k);
     for r in r0..r1 {
-        let row = m.row(r);
-        for (wi, chunk) in row.chunks(64).enumerate() {
+        for (wi, chunk) in m.row(r).chunks(64).enumerate() {
             let mut acc = [0u64; 16];
-            for (b, &v) in chunk.iter().enumerate() {
-                let mut rem = v as u32 & vmask;
-                while rem != 0 {
-                    let lvl = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    acc[lvl] |= 1u64 << b;
+            for (g, group) in chunk.chunks(8).enumerate() {
+                for (a, b) in acc[..s].iter_mut().zip(byte_planes(group, s > 8)) {
+                    *a |= u64::from(b) << (8 * g);
                 }
             }
             for (lvl, &word) in acc[..s].iter().enumerate() {
@@ -206,8 +237,9 @@ pub fn slice_rows(m: &MatI32, bits: u32, r0: usize, r1: usize) -> BinaryMatrix {
 /// Bit-slices one row of `values.len() ≤ 16` quantized values into
 /// `levels` patterns: bit `c` of `out[s]` is bit level `s` of
 /// `values[c]` — the on-the-fly counterpart of [`slice_rows`] for
-/// synthetic pattern sources. Cost is proportional to the popcount of
-/// the values, not `values.len() × levels`.
+/// synthetic pattern sources, on the same branch-free 8×8 bit transpose:
+/// two transposes (values `0..8` and `8..16`) per 8 levels, whatever the
+/// values are.
 ///
 /// # Panics
 ///
@@ -217,15 +249,11 @@ pub fn slice_patterns(values: &[i32], levels: u32, out: &mut [u16]) {
     assert!(values.len() <= 16, "at most 16 values per pattern row");
     assert!((1..=16).contains(&levels), "levels must be in 1..=16");
     assert_eq!(out.len(), levels as usize, "out must hold one pattern per level");
-    out.fill(0);
-    let vmask = ((1u64 << levels) - 1) as u32;
-    for (c, &v) in values.iter().enumerate() {
-        let mut rem = v as u32 & vmask;
-        while rem != 0 {
-            let lvl = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            out[lvl] |= 1 << c;
-        }
+    let wide = levels > 8;
+    let (lo, hi) = values.split_at(values.len().min(8));
+    let bytes = byte_planes(lo, wide).into_iter().zip(byte_planes(hi, wide));
+    for (o, (b0, b1)) in out.iter_mut().zip(bytes) {
+        *o = u16::from_le_bytes([b0, b1]);
     }
 }
 
@@ -711,6 +739,45 @@ mod tests {
         }
     }
 
+    /// Per-bit slicing oracle: plane row `(r - r0)·bits + lvl` holds bit
+    /// `lvl` of source row `r`.
+    fn slice_oracle(m: &MatI32, bits: u32, r0: usize, r1: usize) -> BinaryMatrix {
+        let s = bits as usize;
+        BinaryMatrix::from_fn((r1 - r0) * s, m.cols(), |br, c| {
+            let (r, lvl) = (r0 + br / s, br % s);
+            m.get(r, c) as u32 & (1 << lvl) != 0
+        })
+    }
+
+    /// Per-bit pattern oracle: bit `c` of level `lvl` is bit `lvl` of
+    /// `values[c]`.
+    fn patterns_oracle(values: &[i32], levels: u32) -> Vec<u16> {
+        (0..levels)
+            .map(|lvl| {
+                let set = values.iter().enumerate().filter(|&(_, &v)| v as u32 & (1 << lvl) != 0);
+                set.fold(0, |p, (c, _)| p | 1 << c)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_kernels_match_oracle_at_extremes() {
+        for bits in 2u32..=16 {
+            let (min, max) = (-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1);
+            let extremes = [min, -1, 0, 1, max];
+            // Every extreme at every position of a full and a partial
+            // 8-value group, in rows long enough to straddle a word.
+            let m = MatI32::from_fn(extremes.len(), 77, |r, c| extremes[(r + c) % 5]);
+            assert_eq!(slice_rows(&m, bits, 0, 5), slice_oracle(&m, bits, 0, 5), "bits {bits}");
+            for (t, shift) in [1usize, 5, 8, 13, 16].into_iter().zip(0..) {
+                let values: Vec<i32> = (0..t).map(|c| extremes[(c + shift) % 5]).collect();
+                let mut out = vec![0xFFFFu16; bits as usize];
+                slice_patterns(&values, bits, &mut out);
+                assert_eq!(out, patterns_oracle(&values, bits), "bits {bits} t {t}");
+            }
+        }
+    }
+
     proptest! {
         /// extract_bits over packed rows equals the per-bit get loop, for
         /// widths 1..=16 and non-word-multiple column tails.
@@ -789,34 +856,30 @@ mod tests {
             }
         }
 
-        /// slice_rows equals the per-bit scalar slicer for arbitrary bit
-        /// widths, shard ranges, and non-word-multiple column counts.
+        /// slice_rows equals the per-bit scalar slicer for every bit width
+        /// (the high-byte transpose included), shard ranges starting past
+        /// row 0, and column counts spanning several words that end in a
+        /// partial 8-value group.
         #[test]
         fn slice_rows_matches_scalar(
-            bits in 2u32..=12,
+            bits in 2u32..=16,
             rows in 1usize..6,
-            cols in 1usize..70,
+            cols in 1usize..=150,
+            r0 in 0usize..4,
             seed in 0u64..16,
         ) {
-            let hi = (1i32 << (bits - 1)) - 1;
-            let lo = -(1i32 << (bits - 1));
-            let m = MatI32::from_fn(rows, cols, |r, c| {
+            let hi = (1i64 << (bits - 1)) - 1;
+            let lo = -(1i64 << (bits - 1));
+            let m = MatI32::from_fn(r0 + rows, cols, |r, c| {
                 let span = (hi - lo + 1) as u64;
                 let x = (r as u64)
                     .wrapping_mul(2654435761)
                     .wrapping_add((c as u64).wrapping_mul(40503))
                     .wrapping_add(seed) % span;
-                x as i32 + lo
+                (x as i64 + lo) as i32
             });
-            let r0 = 0;
-            let r1 = rows;
-            let got = slice_rows(&m, bits, r0, r1);
-            let s = bits as usize;
-            let want = BinaryMatrix::from_fn((r1 - r0) * s, cols, |br, c| {
-                let (r, lvl) = (r0 + br / s, br % s);
-                m.get(r, c) as u32 & (1 << lvl) != 0
-            });
-            prop_assert_eq!(got, want);
+            let r1 = r0 + rows;
+            prop_assert_eq!(slice_rows(&m, bits, r0, r1), slice_oracle(&m, bits, r0, r1));
         }
 
         /// slice_patterns equals the per-bit loop, over a dirty output.
@@ -835,15 +898,7 @@ mod tests {
                 .collect();
             let mut out = vec![0xFFFFu16; levels as usize]; // dirty
             slice_patterns(&values, levels, &mut out);
-            for (lvl, &got) in out.iter().enumerate() {
-                let mut expect = 0u16;
-                for (c, &v) in values.iter().enumerate() {
-                    if v as u32 & (1 << lvl) != 0 {
-                        expect |= 1 << c;
-                    }
-                }
-                prop_assert_eq!(got, expect, "level {}", lvl);
-            }
+            prop_assert_eq!(out, patterns_oracle(&values, levels));
         }
 
         /// The i64 row kernels equal their scalar loops for lengths around

@@ -99,7 +99,7 @@ mod proptests {
             let mut acc: i64 = 0;
             for br in 0..8 {
                 if s.planes().get(br, 0) {
-                    acc += s.row_weight(br);
+                    acc += s.level_weight(s.decode_row(br).1);
                 }
             }
             prop_assert_eq!(acc, v as i64);

@@ -9,6 +9,7 @@
 //! value, which is what makes the whole transitive pipeline lossless.
 
 use crate::binmat::BinaryMatrix;
+use crate::kernels::slice_rows;
 use ta_quant::MatI32;
 
 /// A bit-sliced integer matrix: the packed `(S·N × K)` binary matrix plus
@@ -132,13 +133,6 @@ impl BitSlicedMatrix {
         }
     }
 
-    /// Signed weight of a binary row (combines [`Self::decode_row`] and
-    /// [`Self::level_weight`]).
-    #[inline]
-    pub fn row_weight(&self, binary_row: usize) -> i64 {
-        self.level_weight(self.decode_row(binary_row).1)
-    }
-
     /// Reconstructs the original signed matrix (exact inverse of
     /// [`Self::slice`]).
     pub fn reconstruct(&self) -> MatI32 {
@@ -161,14 +155,6 @@ impl BitSlicedMatrix {
     pub fn bit_density(&self) -> f64 {
         self.planes.bit_density()
     }
-}
-
-/// Slices source rows `[r0, r1)` of `m` into their `bits` binary planes
-/// (the per-shard kernel shared by [`BitSlicedMatrix::slice`] and
-/// [`BitSlicedMatrix::slice_parallel`]) — one word-parallel pass via
-/// [`crate::kernels::slice_rows`] instead of one row sweep per bit level.
-fn slice_rows(m: &MatI32, bits: u32, r0: usize, r1: usize) -> BinaryMatrix {
-    crate::kernels::slice_rows(m, bits, r0, r1)
 }
 
 #[cfg(test)]
@@ -226,8 +212,8 @@ mod tests {
         assert_eq!(s.decode_row(3), (0, 3));
         assert_eq!(s.decode_row(4), (1, 0));
         assert_eq!(s.decode_row(11), (2, 3));
-        assert_eq!(s.row_weight(3), -8);
-        assert_eq!(s.row_weight(4), 1);
+        assert_eq!(s.level_weight(s.decode_row(3).1), -8);
+        assert_eq!(s.level_weight(s.decode_row(4).1), 1);
     }
 
     #[test]
@@ -257,12 +243,19 @@ mod tests {
 
     #[test]
     fn parallel_slice_identical_to_serial() {
-        let w =
-            MatI32::from_fn(37, 23, |r, c| (((r * 23 + c) as i64 * 2654435761 % 255) - 127) as i32);
-        let serial = BitSlicedMatrix::slice(&w, 8);
-        for threads in [0usize, 1, 2, 3, 8, 64] {
-            let parallel = BitSlicedMatrix::slice_parallel(&w, 8, threads);
-            assert_eq!(parallel, serial, "threads = {threads}");
+        // 37 rows (prime): no shard count splits them evenly. 150 columns
+        // span three words and end in a partial 8-value group; 13 and 16
+        // bits take the high-byte transpose.
+        for (bits, cols) in [(8u32, 23usize), (4, 150), (13, 150), (16, 150)] {
+            let span = 1i64 << bits;
+            let w = MatI32::from_fn(37, cols, |r, c| {
+                ((r * cols + c) as i64 * 2654435761 % span - span / 2) as i32
+            });
+            let serial = BitSlicedMatrix::slice(&w, bits);
+            for threads in [0usize, 1, 2, 3, 8, 64] {
+                let parallel = BitSlicedMatrix::slice_parallel(&w, bits, threads);
+                assert_eq!(parallel, serial, "bits {bits} threads {threads}");
+            }
         }
     }
 

@@ -252,9 +252,10 @@ impl TransitiveArray {
         let (si, cache) = (static_si.as_ref(), self.plan_cache.as_deref());
         let aggs = walk(source, rt, grid.sampled, |src, positions| {
             let mut agg = Agg::default();
+            let mut patterns = Vec::new();
             for pos in positions {
                 let (nt, kc) = grid.subtile(pos);
-                let patterns = src.subtile_patterns(nt, kc);
+                src.subtile_patterns_into(nt, kc, &mut patterns);
                 self.check_patterns(&patterns)?;
                 agg.add(&process_subtile(&self.cfg, si, &patterns, cache));
             }
@@ -458,12 +459,12 @@ impl TransitiveArray {
             return Ok(None);
         }
         let parts = walk(source, rt, grid.sampled, |src, positions| {
-            let mut all = Vec::new();
+            let (mut all, mut patterns) = (Vec::new(), Vec::new());
             for pos in positions {
                 let (nt, kc) = grid.subtile(pos);
-                let patterns = src.subtile_patterns(nt, kc);
+                src.subtile_patterns_into(nt, kc, &mut patterns);
                 self.check_patterns(&patterns)?;
-                all.extend(patterns);
+                all.extend_from_slice(&patterns);
             }
             Ok(all)
         });

@@ -112,23 +112,24 @@ impl PatternSource for QuantGaussianSource {
     }
 
     fn subtile_patterns(&mut self, n_tile: usize, k_chunk: usize) -> Vec<u16> {
+        let mut out = Vec::with_capacity(self.rows_per_subtile());
+        self.subtile_patterns_into(n_tile, k_chunk, &mut out);
+        out
+    }
+
+    fn subtile_patterns_into(&mut self, n_tile: usize, k_chunk: usize, out: &mut Vec<u16>) {
         let s = self.weight_bits as usize;
         let t = self.width as usize;
-        let mut patterns = vec![0u16; self.n_rows * s];
+        out.clear();
+        out.resize(self.n_rows * s, 0);
         let mut vals = [0i32; 16];
-        for r in 0..self.n_rows {
+        for (r, row) in out.chunks_exact_mut(s).enumerate() {
             for (c, v) in vals[..t].iter_mut().enumerate() {
                 *v = self.value(n_tile, k_chunk, r, c);
             }
-            // One set-bit-driven slicing pass per weight row instead of a
-            // per-(value, level) bit test.
-            ta_bitslice::kernels::slice_patterns(
-                &vals[..t],
-                self.weight_bits,
-                &mut patterns[r * s..(r + 1) * s],
-            );
+            // One branch-free bit-transpose slicing pass per weight row.
+            ta_bitslice::kernels::slice_patterns(&vals[..t], self.weight_bits, row);
         }
-        patterns
     }
 
     fn rows_per_subtile(&self) -> usize {
@@ -256,6 +257,9 @@ mod tests {
         let p = s.subtile_patterns(1, 2);
         assert_eq!(p.len(), 256);
         assert_eq!(p, s.subtile_patterns(1, 2));
+        let mut dirty = vec![0xFFFFu16; 3];
+        s.subtile_patterns_into(1, 2, &mut dirty);
+        assert_eq!(dirty, p);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The `kernel_micro_*` workloads: deterministic inputs and reference
-//! totals for the three word-parallel primitive families the
+//! totals for the four word-parallel primitive families the
 //! `ta_bitslice::kernels` facade owns — popcount/XOR-popcount sweeps,
-//! sub-tile TransRow pattern extraction, and im2col lowering. Every
-//! matrix has a non-word-multiple column count, keeping the kernels'
-//! masked-tail paths exercised.
+//! sub-tile TransRow pattern extraction, bit-plane slicing, and im2col
+//! lowering. Every matrix has a non-word-multiple column count, keeping
+//! the kernels' masked-tail paths exercised.
 
 use crate::Scale;
-use ta_bitslice::{kernels, BinaryMatrix, ConvShape};
+use ta_bitslice::{kernels, BinaryMatrix, BitSlicedMatrix, ConvShape};
 use ta_quant::MatI32;
 
 /// Sub-tile extraction window width.
@@ -24,6 +24,19 @@ pub fn plane_matrix(scale: Scale) -> BinaryMatrix {
     BinaryMatrix::from_fn(4 * n, 8 * n + 37, |r, c| {
         (r.wrapping_mul(31) ^ c.wrapping_mul(7)) % 5 == 0
     })
+}
+
+/// The slicing micro's int8 weight matrix: `4n × (8n + 37)`, so every
+/// row ends in a partial 8-value group inside a partial word.
+pub fn slice_matrix(scale: Scale) -> MatI32 {
+    let n = micro_dim(scale);
+    MatI32::from_fn(4 * n, 8 * n + 37, |r, c| ((r * 131 + c * 17) % 255) as i32 - 127)
+}
+
+/// Bit-plane slicing: slices `m` into its 8 planes and returns their set
+/// bits (a deterministic kernel output).
+pub fn slice_set_bits(m: &MatI32) -> u64 {
+    BitSlicedMatrix::slice(m, 8).planes().popcount()
 }
 
 /// The im2col micro's layer: a ResNet-style 3×3 stride-1 pad-1 conv

@@ -341,6 +341,7 @@ impl Workload for ServeOverload {
 enum KernelMode {
     Popcount,
     Extract,
+    Slice,
     Im2col,
 }
 
@@ -351,6 +352,7 @@ impl Workload for KernelMicro {
         match self.0 {
             KernelMode::Popcount => "kernel_micro_popcount",
             KernelMode::Extract => "kernel_micro_extract",
+            KernelMode::Slice => "kernel_micro_slice",
             KernelMode::Im2col => "kernel_micro_im2col",
         }
     }
@@ -358,6 +360,7 @@ impl Workload for KernelMicro {
         match self.0 {
             KernelMode::Popcount => "word-parallel popcount / XOR-popcount row sweep",
             KernelMode::Extract => "sub-tile TransRow pattern extraction sweep",
+            KernelMode::Slice => "int8 bit-plane slicing of a ragged-width matrix",
             KernelMode::Im2col => "im2col lowering of a ragged-width conv layer",
         }
     }
@@ -382,6 +385,9 @@ impl Workload for KernelMicro {
             KernelMode::Im2col => {
                 kernel::conv_case(scale);
             }
+            KernelMode::Slice => {
+                kernel::slice_matrix(scale);
+            }
             _ => {
                 kernel::plane_matrix(scale);
             }
@@ -396,6 +402,7 @@ impl Workload for KernelMicro {
                 let mut patterns = Vec::new();
                 kernel::extract_total(&kernel::plane_matrix(scale), &mut patterns)
             }
+            KernelMode::Slice => kernel::slice_set_bits(&kernel::slice_matrix(scale)),
             KernelMode::Im2col => {
                 let (shape, input) = kernel::conv_case(scale);
                 kernel::im2col_nonzeros(&shape, &input)
@@ -620,6 +627,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         Box::new(ServeOverload),
         Box::new(KernelMicro(KernelMode::Popcount)),
         Box::new(KernelMicro(KernelMode::Extract)),
+        Box::new(KernelMicro(KernelMode::Slice)),
         Box::new(KernelMicro(KernelMode::Im2col)),
         Box::new(PlanCacheContention),
         Box::new(LlamaBlockPrefill),
