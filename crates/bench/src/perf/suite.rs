@@ -362,18 +362,19 @@ fn serve_overload(scale: Scale, rows: &mut Vec<MetricRow>) {
 /// The `kernel_micro_*` workloads: the four word-parallel primitive
 /// families the `ta_bitslice::kernels` facade owns — row-word
 /// popcount/XOR-popcount sweeps, sub-tile TransRow pattern extraction,
-/// int8 bit-plane slicing, and im2col lowering — measured in isolation,
+/// int8 bit-plane slicing, and im2col lowering — plus the simulator's
+/// Gaussian weight pattern source, measured in isolation,
 /// so a per-bit loop creeping back into any of them shows up as a
 /// standalone wall regression instead of being diluted into a full-layer
 /// run. Every matrix has a non-word-multiple column count, keeping the
 /// kernels' masked-tail paths inside the timed region.
 ///
 /// `total_ops` is a deterministic kernel *output* (set bits counted /
-/// extracted-pattern bits / set plane bits / nonzero lowered elements),
-/// an `Exact` row that catches kernel correctness drift. The µs-scale
-/// iterations swing too far on a shared host to gate on every host, so
-/// `wall_norm` is `ParallelWall`. `want` filters which of the four are
-/// measured.
+/// extracted-pattern bits / set plane bits / source pattern bits / nonzero
+/// lowered elements), an `Exact` row that catches kernel correctness
+/// drift. The µs-scale iterations swing too far on a shared host to gate
+/// on every host, so `wall_norm` is `ParallelWall`. `want` filters which
+/// of the five are measured.
 fn kernel_micro(scale: Scale, want: &dyn Fn(&str) -> bool, rows: &mut Vec<MetricRow>) {
     let mut record = |name: &str, total_ops: u64, wall: f64| {
         push_exact(rows, name, &[("total_ops", total_ops as f64)]);
@@ -398,6 +399,13 @@ fn kernel_micro(scale: Scale, want: &dyn Fn(&str) -> bool, rows: &mut Vec<Metric
         let m = kernel::slice_matrix(scale);
         let (set_bits, slice_wall) = measure(|| black_box(kernel::slice_set_bits(&m)));
         record("kernel_micro_slice", set_bits, slice_wall);
+    }
+
+    if want("kernel_micro_source") {
+        let mut patterns: Vec<u16> = Vec::new();
+        let (set_bits, source_wall) =
+            measure(|| black_box(kernel::source_set_bits(scale, &mut patterns)));
+        record("kernel_micro_source", set_bits, source_wall);
     }
 
     if want("kernel_micro_im2col") {
@@ -765,8 +773,8 @@ mod tests {
         assert_eq!(v("serve_overload", "submitted"), sum);
         let goodput = v("serve_overload", "goodput");
         assert!(goodput > 0.0 && goodput < 1.0);
-        let micros =
-            ["popcount", "extract", "slice", "im2col"].map(|k| format!("kernel_micro_{k}"));
+        let micros = ["popcount", "extract", "slice", "source", "im2col"]
+            .map(|k| format!("kernel_micro_{k}"));
         for name in &micros {
             assert!(v(name, "total_ops") > 0.0, "{name} must report a deterministic kernel output");
             assert!(v(name, "wall_norm") > 0.0, "{name} must be timed");

@@ -14,14 +14,32 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes a seed with up to three coordinates into one stream key.
+/// Mixes a seed with up to three coordinates into one stream key:
+/// `splitmix64` of the XOR of `seed` and one term per coordinate. Each
+/// term depends on its coordinate only, so a generator that walks a grid
+/// can derive a row's, a column's or a constant's term once and XOR the
+/// terms per value, in any grouping.
 #[inline]
 pub fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    splitmix64(
-        seed ^ splitmix64(a ^ 0xA076_1D64_78BD_642F)
-            ^ splitmix64(b ^ 0xE703_7ED1_A0B4_28DB).rotate_left(21)
-            ^ splitmix64(c ^ 0x8EBC_6AF0_9C88_C6E3).rotate_left(42),
-    )
+    splitmix64(seed ^ a_term(a) ^ b_term(b) ^ c_term(c))
+}
+
+/// `mix`'s first-coordinate (row) term.
+#[inline]
+pub(crate) fn a_term(a: u64) -> u64 {
+    splitmix64(a ^ 0xA076_1D64_78BD_642F)
+}
+
+/// `mix`'s second-coordinate (column) term.
+#[inline]
+pub(crate) fn b_term(b: u64) -> u64 {
+    splitmix64(b ^ 0xE703_7ED1_A0B4_28DB).rotate_left(21)
+}
+
+/// `mix`'s third-coordinate (stream constant) term.
+#[inline]
+pub(crate) fn c_term(c: u64) -> u64 {
+    splitmix64(c ^ 0x8EBC_6AF0_9C88_C6E3).rotate_left(42)
 }
 
 /// A small counter-based RNG seeded from a stream key.
@@ -53,6 +71,12 @@ impl StreamRng {
     /// Approximately standard-normal sample (Irwin–Hall sum of 12
     /// uniforms; exact mean 0, variance 1, support ±6σ — ample for
     /// weight synthesis).
+    ///
+    /// Twelve SplitMix64 steps, each with two 64-bit multiplies. At the
+    /// default x86-64 target LLVM may vectorize a loop that draws one
+    /// sample per element and emulate those multiplies with SSE2
+    /// `pmuludq`, which is slower than scalar `imul`; `QuantGaussianSource`
+    /// keeps its per-value draw out of line so it stays scalar.
     pub fn next_gaussian(&mut self) -> f32 {
         let mut s = 0.0f32;
         for _ in 0..12 {

@@ -284,12 +284,11 @@ impl MatI32 {
     /// Panics if `bits` is 0 or greater than 32.
     pub fn fits_signed_bits(&self, bits: u32) -> bool {
         assert!((1..=32).contains(&bits), "bits must be in 1..=32");
-        if bits == 32 {
-            return true;
-        }
-        let hi = (1i64 << (bits - 1)) - 1;
-        let lo = -(1i64 << (bits - 1));
-        self.data.iter().all(|&v| (v as i64) >= lo && (v as i64) <= hi)
+        // One branch-free min/max fold (it vectorizes), then one range test
+        // of its two ends; every `i32` fits 32 bits.
+        let (lo, hi) = self.min_max();
+        let half = 1i64 << (bits - 1);
+        i64::from(lo) >= -half && i64::from(hi) < half
     }
 }
 
@@ -448,6 +447,45 @@ mod tests {
         assert!(m.fits_signed_bits(4));
         assert!(!m.fits_signed_bits(3));
         assert!(m.fits_signed_bits(32));
+    }
+
+    /// [`MatI32::fits_signed_bits`] as it stood before the min/max fold:
+    /// every value widened to `i64` and range-tested on its own.
+    fn fits_signed_bits_oracle(m: &MatI32, bits: u32) -> bool {
+        if bits == 32 {
+            return true;
+        }
+        let hi = (1i64 << (bits - 1)) - 1;
+        let lo = -(1i64 << (bits - 1));
+        m.as_slice().iter().all(|&v| (v as i64) >= lo && (v as i64) <= hi)
+    }
+
+    #[test]
+    fn fits_signed_bits_matches_oracle_at_every_edge() {
+        let empty = MatI32::zeros(0, 0);
+        for bits in 1..=32u32 {
+            assert!(empty.fits_signed_bits(bits), "empty, bits={bits}");
+            assert!(fits_signed_bits_oracle(&empty, bits));
+            let half = 1i64 << (bits - 1);
+            let edges = [-half - 1, -half, -half + 1, half - 2, half - 1, half];
+            let values = edges.into_iter().filter_map(|v| i32::try_from(v).ok()).chain([
+                i32::MIN,
+                i32::MAX,
+                0,
+            ]);
+            for v in values {
+                // The value alone, then planted first, mid-row and last in a
+                // ragged matrix whose other entries fit every width.
+                let one = MatI32::from_rows(&[&[v]]);
+                assert_eq!(one.fits_signed_bits(bits), fits_signed_bits_oracle(&one, bits));
+                for at in [0, 50, 110] {
+                    let mut m = MatI32::from_fn(3, 37, |r, c| ((r + c) % 2) as i32 - 1);
+                    m.set(at / 37, at % 37, v);
+                    let (got, want) = (m.fits_signed_bits(bits), fits_signed_bits_oracle(&m, bits));
+                    assert_eq!(got, want, "bits={bits} value={v} at={at}");
+                }
+            }
+        }
     }
 
     #[test]

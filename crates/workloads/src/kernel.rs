@@ -2,11 +2,14 @@
 //! totals for the four word-parallel primitive families the
 //! `ta_bitslice::kernels` facade owns — popcount/XOR-popcount sweeps,
 //! sub-tile TransRow pattern extraction, bit-plane slicing, and im2col
-//! lowering. Every matrix has a non-word-multiple column count, keeping
-//! the kernels' masked-tail paths exercised.
+//! lowering — plus the synthetic pattern source that feeds every
+//! simulated sub-tile. Every matrix has a non-word-multiple column count,
+//! keeping the kernels' masked-tail paths exercised.
 
 use crate::Scale;
 use ta_bitslice::{kernels, BinaryMatrix, BitSlicedMatrix, ConvShape};
+use ta_core::PatternSource;
+use ta_models::QuantGaussianSource;
 use ta_quant::MatI32;
 
 /// Sub-tile extraction window width.
@@ -37,6 +40,23 @@ pub fn slice_matrix(scale: Scale) -> MatI32 {
 /// bits (a deterministic kernel output).
 pub fn slice_set_bits(m: &MatI32) -> u64 {
     BitSlicedMatrix::slice(m, 8).planes().popcount()
+}
+
+/// Pattern source sweep: the `(n/4)²` sub-tiles of a
+/// [`QuantGaussianSource`] at the paper's design point (T = 8, int8
+/// weights, 32 weight rows per sub-tile) into the caller's reused buffer;
+/// returns the set bits of every pattern, which pin the values.
+pub fn source_set_bits(scale: Scale, patterns: &mut Vec<u16>) -> u64 {
+    let tiles = micro_dim(scale) / 4;
+    let mut src = QuantGaussianSource::new(8, 8, 32, 0x5EED);
+    let mut total = 0u64;
+    for n_tile in 0..tiles {
+        for k_chunk in 0..tiles {
+            src.subtile_patterns_into(n_tile, k_chunk, patterns);
+            total += patterns.iter().map(|p| u64::from(p.count_ones())).sum::<u64>();
+        }
+    }
+    total
 }
 
 /// The im2col micro's layer: a ResNet-style 3×3 stride-1 pad-1 conv

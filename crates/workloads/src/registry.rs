@@ -342,6 +342,7 @@ enum KernelMode {
     Popcount,
     Extract,
     Slice,
+    Source,
     Im2col,
 }
 
@@ -353,6 +354,7 @@ impl Workload for KernelMicro {
             KernelMode::Popcount => "kernel_micro_popcount",
             KernelMode::Extract => "kernel_micro_extract",
             KernelMode::Slice => "kernel_micro_slice",
+            KernelMode::Source => "kernel_micro_source",
             KernelMode::Im2col => "kernel_micro_im2col",
         }
     }
@@ -361,6 +363,7 @@ impl Workload for KernelMicro {
             KernelMode::Popcount => "word-parallel popcount / XOR-popcount row sweep",
             KernelMode::Extract => "sub-tile TransRow pattern extraction sweep",
             KernelMode::Slice => "int8 bit-plane slicing of a ragged-width matrix",
+            KernelMode::Source => "Gaussian int8 weight pattern source sub-tile sweep",
             KernelMode::Im2col => "im2col lowering of a ragged-width conv layer",
         }
     }
@@ -388,6 +391,7 @@ impl Workload for KernelMicro {
             KernelMode::Slice => {
                 kernel::slice_matrix(scale);
             }
+            KernelMode::Source => {}
             _ => {
                 kernel::plane_matrix(scale);
             }
@@ -403,6 +407,7 @@ impl Workload for KernelMicro {
                 kernel::extract_total(&kernel::plane_matrix(scale), &mut patterns)
             }
             KernelMode::Slice => kernel::slice_set_bits(&kernel::slice_matrix(scale)),
+            KernelMode::Source => kernel::source_set_bits(scale, &mut Vec::new()),
             KernelMode::Im2col => {
                 let (shape, input) = kernel::conv_case(scale);
                 kernel::im2col_nonzeros(&shape, &input)
@@ -628,6 +633,7 @@ pub fn registry() -> Vec<Box<dyn Workload>> {
         Box::new(KernelMicro(KernelMode::Popcount)),
         Box::new(KernelMicro(KernelMode::Extract)),
         Box::new(KernelMicro(KernelMode::Slice)),
+        Box::new(KernelMicro(KernelMode::Source)),
         Box::new(KernelMicro(KernelMode::Im2col)),
         Box::new(PlanCacheContention),
         Box::new(LlamaBlockPrefill),

@@ -30,6 +30,7 @@ fn names_are_unique_and_stable() {
             "kernel_micro_popcount",
             "kernel_micro_extract",
             "kernel_micro_slice",
+            "kernel_micro_source",
             "kernel_micro_im2col",
             "plan_cache_contention",
             "llama_block_prefill",
@@ -43,9 +44,9 @@ fn names_are_unique_and_stable() {
 #[test]
 fn gate_roster_matches_bench_schema() {
     let gated: Vec<_> = registry().into_iter().filter(|w| w.gated()).collect();
-    // Eleven PerfRecord workloads plus the contention sweep (gated
+    // Twelve PerfRecord workloads plus the contention sweep (gated
     // through the report's contention arm, not a PerfRecord).
-    assert_eq!(gated.len(), 12);
+    assert_eq!(gated.len(), 13);
 }
 
 #[test]
